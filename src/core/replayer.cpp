@@ -99,33 +99,32 @@ public:
         }
     };
 
-    /// Structured replay: phases in the request's learned order.
+    /// Structured replay: phases in the request's learned order. `r`
+    /// lives in the workload, which outlives the engine run.
     void run_structured(std::uint64_t id, const SyntheticRequest& r,
                         std::size_t server) {
         const double arrival = rt_.engine.now();
-        auto phases = std::make_shared<std::vector<std::string>>(r.phases);
-        auto req = std::make_shared<SyntheticRequest>(r);
-        auto counts = std::make_shared<PhaseCounts>(PhaseCounts::of(r.phases));
+        const SyntheticRequest* req = &r;
         auto step = std::make_shared<std::function<void(std::size_t)>>();
-        *step = [this, id, req, server, arrival, phases, counts,
+        *step = [this, id, req, server, arrival, counts = PhaseCounts::of(r.phases),
                  step](std::size_t i) {
-            if (i >= phases->size()) {
+            if (i >= req->phases.size()) {
                 rt_.engine.schedule_after(0.0, [step] { *step = nullptr; });
                 rt_.finish_request(id, *req, arrival);
                 return;
             }
-            execute_phase(id, *req, *counts, server, (*phases)[i],
+            execute_phase(id, *req, counts, server, req->phases[i],
                           [step, i] { (*step)(i + 1); });
         };
         (*step)(0);
     }
 
     /// Independent replay: all subsystems stressed concurrently (the
-    /// structure-free in-breadth stressing).
+    /// structure-free in-breadth stressing). `r` lives in the workload.
     void run_independent(std::uint64_t id, const SyntheticRequest& r,
                          std::size_t server) {
         const double arrival = rt_.engine.now();
-        auto req = std::make_shared<SyntheticRequest>(r);
+        const SyntheticRequest* req = &r;
         auto outstanding = std::make_shared<int>(4);
         auto done_one = [this, id, req, arrival, outstanding] {
             if (--*outstanding == 0) rt_.finish_request(id, *req, arrival);
@@ -200,7 +199,7 @@ private:
             ServerStack& rs = *rt_.servers[rep];
             rs.ingress->transfer(
                 id, r.network_bytes,
-                [this, id, &rs, r, next = std::move(next)](double) mutable {
+                [this, id, &rs, &r, next = std::move(next)](double) mutable {
                     rs.disk->io(id, lbn_of(r), r.storage_bytes, r.storage_type,
                                 [next = std::move(next)](double) { next(); });
                 },
@@ -300,11 +299,13 @@ ReplayResult Replayer::replay_with_ids(const SyntheticWorkload& workload,
         throw std::invalid_argument("Replayer::replay: empty workload");
     Runtime rt(cfg_);
     Execution exec(rt, cfg_);
+    // Events reference the requests in `workload`, which outlives the
+    // engine run below.
     std::uint64_t id = base_id;
     for (const auto& r : workload.requests) {
         const std::uint64_t rid = id++;
         const std::size_t server = std::size_t(r.server % rt.servers.size());
-        rt.engine.schedule_at(r.time, [&exec, rid, r, server, mode] {
+        rt.engine.schedule_at(r.time, [&exec, &r, rid, server, mode] {
             // A request with no phase list cannot be replayed in order —
             // fall back to concurrent stressing.
             if (mode == ReplayMode::kStructured && !r.phases.empty())

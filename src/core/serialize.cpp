@@ -268,7 +268,7 @@ void save_distribution(const stats::Distribution& d, std::ostream& os) {
     } else if (auto* e = dynamic_cast<const stats::Exponential*>(&d)) {
         os << "exponential " << e->lambda();
     } else if (auto* n = dynamic_cast<const stats::Normal*>(&d)) {
-        os << "normal " << n->mean() << ' ' << std::sqrt(n->variance());
+        os << "normal " << n->mean() << ' ' << n->sigma();
     } else if (auto* ln = dynamic_cast<const stats::LogNormal*>(&d)) {
         os << "lognormal " << ln->mu() << ' ' << ln->sigma();
     } else if (auto* p = dynamic_cast<const stats::Pareto*>(&d)) {
@@ -276,8 +276,7 @@ void save_distribution(const stats::Distribution& d, std::ostream& os) {
     } else if (auto* w = dynamic_cast<const stats::Weibull*>(&d)) {
         os << "weibull " << w->shape() << ' ' << w->scale();
     } else if (auto* g = dynamic_cast<const stats::Gamma*>(&d)) {
-        const double mean = g->mean(), var = g->variance();
-        os << "gamma " << mean * mean / var << ' ' << var / mean;
+        os << "gamma " << g->shape() << ' ' << g->scale();
     } else if (auto* emp = dynamic_cast<const stats::Empirical*>(&d)) {
         os << "empirical " << emp->size();
         for (double x : emp->sorted()) os << ' ' << x;

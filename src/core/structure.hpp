@@ -8,10 +8,12 @@
 // distribution per phase name.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -85,12 +87,39 @@ private:
     std::size_t trained_on_ = 0;
 };
 
+/// StructureAccumulator::fit split at its parallel seam (like
+/// markov::AnnotatedFitPlan): the variants are counted up front and each
+/// phase's duration sample waits for a distribution fit that a caller may
+/// run in any order and on any thread; finish() assembles the queue.
+class StructureFitPlan {
+public:
+    /// Phase-duration samples awaiting a distribution fit.
+    [[nodiscard]] std::size_t samples() const noexcept { return durations_.size(); }
+    [[nodiscard]] std::span<const double> sample(std::size_t i) const {
+        return durations_.at(i);
+    }
+
+    /// Assemble the queue; `fitted[i]` is the distribution of sample(i).
+    [[nodiscard]] StructureQueue finish(
+        std::vector<std::unique_ptr<stats::Distribution>> fitted) &&;
+
+private:
+    friend class StructureAccumulator;
+
+    std::vector<StructureQueue::Variant> variants_;
+    std::vector<std::string> phases_;             ///< aligned with durations_
+    std::vector<std::vector<double>> durations_;
+    std::size_t used_ = 0;
+};
+
 /// Chunk-feedable span collector behind StructureQueue::fit. Spans arrive
-/// in any order, one record or one chunk at a time, and are bucketed per
-/// trace; fit() then reassembles the trees in ascending trace-id order —
-/// the same order SpanTree::trace_ids yields — so a queue fitted from
-/// chunked reads is identical to one fitted from the full span vector.
-/// Memory is O(buffered spans): captures bound it with span sampling
+/// in any order, one record or one chunk at a time, and are buffered as
+/// compact records (phase names interned to small ids) in one flat
+/// vector. seal() orders them once by (trace id, start, span id) — the
+/// trace order SpanTree::trace_ids yields and the span order SpanTree
+/// builds, ties kept in arrival order — so a queue fitted from chunked
+/// reads is identical to one fitted from the full span vector. Memory is
+/// O(buffered spans): captures bound it with span sampling
 /// (GfsConfig::span_sample_every), not with record caps.
 class StructureAccumulator {
 public:
@@ -98,18 +127,39 @@ public:
     void observe(const std::vector<trace::Span>& spans);
     void merge(StructureAccumulator&& other);
 
-    /// Distinct trace ids buffered so far.
-    [[nodiscard]] std::size_t trace_count() const noexcept { return spans_.size(); }
-    [[nodiscard]] std::size_t span_count() const noexcept { return n_spans_; }
+    /// Order the buffer for plan(). A later observe() or merge() needs
+    /// another seal().
+    void seal();
 
-    /// Fit a queue from the buffered trees whose ids are in `trace_ids`.
-    /// Same semantics and failure mode as StructureQueue::fit.
+    /// Count the variants of the buffered trees whose ids are in
+    /// `trace_ids` and collect their per-phase durations. Const on a
+    /// sealed buffer, so plans for disjoint id sets may run concurrently.
+    /// Throws std::logic_error if the buffer is not sealed, and
+    /// std::invalid_argument when no such tree has a phase or one has no
+    /// root span.
+    [[nodiscard]] StructureFitPlan plan(std::span<const trace::TraceId> trace_ids) const;
+
+    /// seal(), plan(), every sample fitted with stats::fit_or_empirical,
+    /// finish(). Same semantics and failure mode as StructureQueue::fit.
     [[nodiscard]] StructureQueue fit(std::span<const trace::TraceId> trace_ids,
-                                     double ks_threshold = 0.08) const;
+                                     double ks_threshold = 0.08);
 
 private:
-    std::map<trace::TraceId, std::vector<trace::Span>> spans_;
-    std::size_t n_spans_ = 0;
+    struct Record {
+        trace::TraceId trace_id = 0;
+        double start = 0.0;
+        trace::SpanId span_id = 0;
+        double duration = 0.0;
+        std::uint32_t phase = 0;  ///< index into phase_names_
+        bool root = false;
+    };
+
+    std::uint32_t intern(const std::string& name);
+
+    std::vector<Record> spans_;
+    bool sorted_ = true;
+    std::vector<std::string> phase_names_;
+    std::unordered_map<std::string, std::uint32_t> phase_ids_;
 };
 
 }  // namespace kooza::core

@@ -26,13 +26,14 @@ MetricRow row(std::string subsystem, std::string metric, double original,
     return r;
 }
 
-/// Quantile that tolerates the degenerate sides admission control can
-/// produce (a rejected-out phase has no completed requests): empty input
-/// reports 0 so the row falls back to the zero-baseline absolute-
-/// deviation convention instead of throwing mid-table.
-double quantile_or_zero(const std::vector<double>& v, double q) {
-    if (v.empty()) return 0.0;
-    return stats::quantile(v, q);
+/// Quantile of an ascending sample that tolerates the degenerate sides
+/// admission control can produce (a rejected-out phase has no completed
+/// requests): empty input reports 0 so the row falls back to the
+/// zero-baseline absolute-deviation convention instead of throwing
+/// mid-table.
+double quantile_or_zero(const std::vector<double>& sorted, double q) {
+    if (sorted.empty()) return 0.0;
+    return stats::quantile_sorted(sorted, q);
 }
 
 /// Goodput in completed requests/second over the feature set's span
@@ -142,8 +143,11 @@ ValidationReport compare_features(const std::vector<trace::RequestFeatures>& ori
     rep.rows.push_back(row("Performance", "Latency",
                            mean_of(trace::column_latency(original)),
                            mean_of(trace::column_latency(synthetic)), "ms"));
-    const auto lat_orig = trace::column_latency(original);
-    const auto lat_syn = trace::column_latency(synthetic);
+    // Sorted once per side for the three quantile rows.
+    auto lat_orig = trace::column_latency(original);
+    auto lat_syn = trace::column_latency(synthetic);
+    std::sort(lat_orig.begin(), lat_orig.end());
+    std::sort(lat_syn.begin(), lat_syn.end());
     rep.rows.push_back(row("Performance", "Latency p50",
                            quantile_or_zero(lat_orig, 0.50),
                            quantile_or_zero(lat_syn, 0.50), "ms"));

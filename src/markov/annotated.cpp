@@ -1,5 +1,7 @@
 #include "markov/annotated.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -7,7 +9,6 @@
 
 #include "stats/empirical.hpp"
 #include "stats/fitting.hpp"
-#include "stats/sample.hpp"
 
 namespace kooza::markov {
 
@@ -34,6 +35,16 @@ AnnotatedMarkovChain AnnotatedMarkovChain::from_parts(
 AnnotatedMarkovChain AnnotatedMarkovChain::fit(
     std::span<const AnnotatedSequence> sequences, std::size_t n_states, double alpha,
     double ks_threshold, std::size_t max_state_samples) {
+    auto p = plan(sequences, n_states, alpha, max_state_samples);
+    std::vector<std::unique_ptr<stats::Distribution>> fitted(p.samples());
+    for (std::size_t i = 0; i < fitted.size(); ++i)
+        fitted[i] = stats::fit_or_empirical(p.sample(i), ks_threshold);
+    return std::move(p).finish(std::move(fitted));
+}
+
+AnnotatedFitPlan AnnotatedMarkovChain::plan(
+    std::span<const AnnotatedSequence> sequences, std::size_t n_states, double alpha,
+    std::size_t max_state_samples) {
     const std::size_t cap = max_state_samples == 0
                                 ? std::numeric_limits<std::size_t>::max()
                                 : max_state_samples;
@@ -51,36 +62,65 @@ AnnotatedMarkovChain AnnotatedMarkovChain::fit(
         }
         chain_stats.observe(seq.states);
     }
-    MarkovChain chain = MarkovChain::fit_counts(chain_stats, alpha);
+    AnnotatedFitPlan p(MarkovChain::fit_counts(chain_stats, alpha));
+    p.names_.assign(names.begin(), names.end());
+    const std::size_t nf = p.names_.size();
 
     // Bucket feature values by state (first-`cap` retained per bucket).
-    std::vector<std::map<std::string, stats::CappedSample>> buckets(n_states);
-    std::map<std::string, stats::CappedSample> global;
-    const auto bucket_of = [cap](std::map<std::string, stats::CappedSample>& m,
-                                 const std::string& name) -> stats::CappedSample& {
-        return m.try_emplace(name, stats::CappedSample(cap)).first->second;
-    };
+    p.cells_.assign((n_states + 1) * nf, stats::CappedSample(cap));
+    const std::size_t global_row = n_states * nf;
     for (const auto& seq : sequences)
-        for (const auto& [name, vals] : seq.features)
+        for (const auto& [name, vals] : seq.features) {
+            const std::size_t k = std::size_t(
+                std::lower_bound(p.names_.begin(), p.names_.end(), name) -
+                p.names_.begin());
             for (std::size_t i = 0; i < vals.size(); ++i) {
-                bucket_of(buckets[seq.states[i]], name).observe(vals[i]);
-                bucket_of(global, name).observe(vals[i]);
+                p.cells_[seq.states[i] * nf + k].observe(vals[i]);
+                p.cells_[global_row + k].observe(vals[i]);
             }
+        }
 
+    // One sample per distinct bucket in use: a state that never saw a
+    // feature falls back to the feature's global sample.
+    std::vector<std::size_t> job_of_cell(p.cells_.size(), SIZE_MAX);
+    p.slot_job_.resize(n_states * nf);
+    for (std::size_t s = 0; s < n_states; ++s)
+        for (std::size_t k = 0; k < nf; ++k) {
+            std::size_t cell = s * nf + k;
+            if (p.cells_[cell].empty()) cell = global_row + k;
+            if (p.cells_[cell].empty())
+                throw std::invalid_argument("AnnotatedMarkovChain::fit: feature '" +
+                                            p.names_[k] + "' has no data");
+            if (job_of_cell[cell] == SIZE_MAX) {
+                job_of_cell[cell] = p.jobs_.size();
+                p.jobs_.push_back(cell);
+            }
+            p.slot_job_[s * nf + k] = job_of_cell[cell];
+        }
+    return p;
+}
+
+AnnotatedMarkovChain AnnotatedFitPlan::finish(
+    std::vector<std::unique_ptr<stats::Distribution>> fitted) && {
+    if (fitted.size() != jobs_.size())
+        throw std::invalid_argument("AnnotatedFitPlan::finish: sample count mismatch");
+    // A shared global sample is cloned into every state but the last
+    // that uses it, which takes the fitted object itself.
+    std::vector<std::size_t> uses(jobs_.size(), 0);
+    for (std::size_t j : slot_job_) ++uses[j];
+    const std::size_t nf = names_.size();
+    const std::size_t n_states = chain_.n_states();
     std::vector<std::map<std::string, std::unique_ptr<stats::Distribution>>> per_state(
         n_states);
     for (std::size_t s = 0; s < n_states; ++s)
-        for (const auto& name : names) {
-            auto it = buckets[s].find(name);
-            const auto& vals = (it != buckets[s].end() && !it->second.empty())
-                                   ? it->second.values()
-                                   : global.at(name).values();
-            if (vals.empty())
-                throw std::invalid_argument(
-                    "AnnotatedMarkovChain::fit: feature '" + name + "' has no data");
-            per_state[s][name] = stats::fit_or_empirical(vals, ks_threshold);
+        for (std::size_t k = 0; k < nf; ++k) {
+            const std::size_t j = slot_job_[s * nf + k];
+            if (!fitted[j])
+                throw std::invalid_argument("AnnotatedFitPlan::finish: null distribution");
+            per_state[s][names_[k]] =
+                --uses[j] == 0 ? std::move(fitted[j]) : fitted[j]->clone();
         }
-    return AnnotatedMarkovChain(std::move(chain), std::move(per_state));
+    return AnnotatedMarkovChain(std::move(chain_), std::move(per_state));
 }
 
 std::vector<std::string> AnnotatedMarkovChain::feature_names() const {

@@ -15,6 +15,7 @@
 
 #include "markov/chain.hpp"
 #include "stats/distributions.hpp"
+#include "stats/sample.hpp"
 
 namespace kooza::markov {
 
@@ -29,6 +30,39 @@ struct AnnotatedSequence {
 struct AnnotatedStep {
     std::size_t state = 0;
     std::map<std::string, double> features;
+};
+
+class AnnotatedMarkovChain;
+
+/// AnnotatedMarkovChain::fit split at its parallel seam. plan() does the
+/// serial part — transition counts and per-state feature bucketing — and
+/// leaves the (state, feature) distribution fits as independent samples a
+/// caller may fit in any order and on any thread; finish() assembles the
+/// chain from them. States that never saw a feature share that feature's
+/// global sample, so it is fitted once.
+class AnnotatedFitPlan {
+public:
+    /// Distinct samples awaiting a distribution fit.
+    [[nodiscard]] std::size_t samples() const noexcept { return jobs_.size(); }
+    [[nodiscard]] std::span<const double> sample(std::size_t i) const {
+        return cells_[jobs_.at(i)].values();
+    }
+
+    /// Assemble the chain; `fitted[i]` is the distribution of sample(i).
+    [[nodiscard]] AnnotatedMarkovChain finish(
+        std::vector<std::unique_ptr<stats::Distribution>> fitted) &&;
+
+private:
+    friend class AnnotatedMarkovChain;
+    explicit AnnotatedFitPlan(MarkovChain chain) : chain_(std::move(chain)) {}
+
+    MarkovChain chain_;
+    std::vector<std::string> names_;  ///< feature names, ascending
+    /// Row-major [state][feature] buckets; row n_states holds the global
+    /// (all-state) sample of each feature.
+    std::vector<stats::CappedSample> cells_;
+    std::vector<std::size_t> jobs_;       ///< cell index of each sample
+    std::vector<std::size_t> slot_job_;   ///< [state][feature] -> sample
 };
 
 class AnnotatedMarkovChain {
@@ -46,6 +80,14 @@ public:
                                     std::size_t n_states, double alpha = 0.5,
                                     double ks_threshold = 0.08,
                                     std::size_t max_state_samples = 0);
+
+    /// The serial half of fit(): validation, transition counts and
+    /// bucketing, with the same failure modes. Fitting every sample of
+    /// the plan with stats::fit_or_empirical(sample, ks_threshold) and
+    /// calling finish() is exactly fit().
+    static AnnotatedFitPlan plan(std::span<const AnnotatedSequence> sequences,
+                                 std::size_t n_states, double alpha = 0.5,
+                                 std::size_t max_state_samples = 0);
 
     /// Reassemble from previously-fitted parts (deserialization).
     /// `per_state` must have chain.n_states() entries.
@@ -79,6 +121,7 @@ public:
     [[nodiscard]] std::string describe() const;
 
 private:
+    friend class AnnotatedFitPlan;
     AnnotatedMarkovChain(MarkovChain chain,
                          std::vector<std::map<std::string,
                                               std::unique_ptr<stats::Distribution>>>

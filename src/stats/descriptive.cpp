@@ -29,6 +29,12 @@ double quantile(std::span<const double> xs, double q) {
     if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
     std::vector<double> s(xs.begin(), xs.end());
     std::sort(s.begin(), s.end());
+    return quantile_sorted(s, q);
+}
+
+double quantile_sorted(std::span<const double> s, double q) {
+    if (s.empty()) throw std::invalid_argument("quantile: empty sample");
+    if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
     if (s.size() == 1) return s[0];
     const double pos = q * double(s.size() - 1);
     const std::size_t lo = std::size_t(pos);
@@ -56,18 +62,11 @@ Summary summarize(std::span<const double> xs) {
     std::sort(s.begin(), s.end());
     out.min = s.front();
     out.max = s.back();
-    auto interp = [&](double q) {
-        const double pos = q * double(s.size() - 1);
-        const std::size_t lo = std::size_t(pos);
-        const std::size_t hi = std::min(lo + 1, s.size() - 1);
-        const double frac = pos - double(lo);
-        return s[lo] * (1.0 - frac) + s[hi] * frac;
-    };
-    out.median = interp(0.5);
-    out.p25 = interp(0.25);
-    out.p75 = interp(0.75);
-    out.p95 = interp(0.95);
-    out.p99 = interp(0.99);
+    out.median = quantile_sorted(s, 0.5);
+    out.p25 = quantile_sorted(s, 0.25);
+    out.p75 = quantile_sorted(s, 0.75);
+    out.p95 = quantile_sorted(s, 0.95);
+    out.p99 = quantile_sorted(s, 0.99);
     return out;
 }
 

@@ -41,6 +41,11 @@ struct Summary {
 /// outside [0,1].
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
 
+/// quantile() over a sample already sorted ascending: no copy, no sort,
+/// the same interpolation, so a caller reading several quantiles of one
+/// sample sorts it once.
+[[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
+
 [[nodiscard]] double median(std::span<const double> xs);
 
 /// Full summary in one pass (plus a sort for the order statistics).

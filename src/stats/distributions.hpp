@@ -116,6 +116,9 @@ public:
     [[nodiscard]] double quantile(double p) const override;
     [[nodiscard]] double mean() const override { return mean_; }
     [[nodiscard]] double variance() const override { return sd_ * sd_; }
+    /// The stored standard deviation (sqrt(variance()) may differ in the
+    /// last bit).
+    [[nodiscard]] double sigma() const noexcept { return sd_; }
     [[nodiscard]] double sample(sim::Rng& rng) const override;
     [[nodiscard]] std::string name() const override { return "normal"; }
     [[nodiscard]] std::string describe() const override;
@@ -204,6 +207,8 @@ public:
         return std::make_unique<Gamma>(*this);
     }
     [[nodiscard]] double quantile(double p) const override;
+    [[nodiscard]] double shape() const noexcept { return shape_; }
+    [[nodiscard]] double scale() const noexcept { return scale_; }
 
 private:
     double shape_, scale_;

@@ -14,6 +14,14 @@ Empirical::Empirical(std::span<const double> xs) : xs_(xs.begin(), xs.end()) {
     std::sort(xs_.begin(), xs_.end());
 }
 
+Empirical::Empirical(Sorted, std::vector<double> sorted) : xs_(std::move(sorted)) {
+    if (xs_.empty()) throw std::invalid_argument("Empirical: empty sample");
+}
+
+std::unique_ptr<Empirical> Empirical::from_sorted(std::vector<double> sorted) {
+    return std::unique_ptr<Empirical>(new Empirical(Sorted{}, std::move(sorted)));
+}
+
 double Empirical::cdf(double x) const {
     auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
     return double(it - xs_.begin()) / double(xs_.size());
@@ -22,12 +30,7 @@ double Empirical::cdf(double x) const {
 double Empirical::quantile(double p) const {
     if (!(p >= 0.0 && p <= 1.0))
         throw std::invalid_argument("Empirical::quantile: p outside [0,1]");
-    if (xs_.size() == 1) return xs_[0];
-    const double pos = p * double(xs_.size() - 1);
-    const std::size_t lo = std::size_t(pos);
-    const std::size_t hi = std::min(lo + 1, xs_.size() - 1);
-    const double frac = pos - double(lo);
-    return xs_[lo] * (1.0 - frac) + xs_[hi] * frac;
+    return quantile_sorted(xs_, p);
 }
 
 double Empirical::mean() const { return kooza::stats::mean(xs_); }

@@ -20,6 +20,11 @@ class Empirical final : public Distribution {
 public:
     explicit Empirical(std::span<const double> xs);
 
+    /// Adopt a sample the caller has already sorted ascending (the fitter
+    /// sorts once for KS scoring and hands the same vector over).
+    [[nodiscard]] static std::unique_ptr<Empirical> from_sorted(
+        std::vector<double> sorted);
+
     [[nodiscard]] double cdf(double x) const override;
     [[nodiscard]] double quantile(double p) const override;
     [[nodiscard]] double mean() const override;
@@ -35,6 +40,9 @@ public:
     [[nodiscard]] const std::vector<double>& sorted() const noexcept { return xs_; }
 
 private:
+    struct Sorted {};
+    Empirical(Sorted, std::vector<double> sorted);
+
     std::vector<double> xs_;  // sorted ascending
 };
 

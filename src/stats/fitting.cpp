@@ -24,6 +24,12 @@ bool is_constant(std::span<const double> xs) {
     return std::all_of(xs.begin(), xs.end(), [&](double x) { return x == xs.front(); });
 }
 
+std::vector<double> sorted_copy(std::span<const double> xs) {
+    std::vector<double> s(xs.begin(), xs.end());
+    std::sort(s.begin(), s.end());
+    return s;
+}
+
 }  // namespace
 
 std::string family_name(Family f) {
@@ -126,13 +132,20 @@ std::unique_ptr<Uniform> fit_uniform(std::span<const double> xs) {
     return std::make_unique<Uniform>(*mn - margin, *mx + margin);
 }
 
-std::vector<Fit> fit_all(std::span<const double> xs, std::span<const Family> families) {
-    require_nonempty(xs, "fit_all");
-    if (is_constant(xs)) {
-        std::vector<Fit> out;
-        out.push_back(Fit{std::make_unique<Deterministic>(xs.front()), 0.0});
-        return out;
-    }
+namespace {
+
+const Family kDefaultFamilies[] = {Family::kExponential, Family::kNormal,
+                                   Family::kLogNormal,   Family::kPareto,
+                                   Family::kWeibull,     Family::kGamma,
+                                   Family::kUniform};
+
+/// fit_all's body for a non-constant sample whose ascending copy is
+/// `sorted`. Parameters are estimated on `xs` in its original order —
+/// mean/variance summation order decides their last bits — and every
+/// family's KS distance is scored on the one sorted copy.
+std::vector<Fit> fit_families(std::span<const double> xs,
+                              std::span<const double> sorted,
+                              std::span<const Family> families) {
     std::vector<Fit> fits;
     for (Family f : families) {
         std::unique_ptr<Distribution> d;
@@ -150,7 +163,7 @@ std::vector<Fit> fit_all(std::span<const double> xs, std::span<const Family> fam
         } catch (const std::invalid_argument&) {
             continue;  // family's preconditions not met by this sample
         }
-        const double ks = ks_statistic(xs, *d);
+        const double ks = ks_statistic_sorted(sorted, *d);
         fits.push_back(Fit{std::move(d), ks});
     }
     std::sort(fits.begin(), fits.end(),
@@ -158,12 +171,20 @@ std::vector<Fit> fit_all(std::span<const double> xs, std::span<const Family> fam
     return fits;
 }
 
+}  // namespace
+
+std::vector<Fit> fit_all(std::span<const double> xs, std::span<const Family> families) {
+    require_nonempty(xs, "fit_all");
+    if (is_constant(xs)) {
+        std::vector<Fit> out;
+        out.push_back(Fit{std::make_unique<Deterministic>(xs.front()), 0.0});
+        return out;
+    }
+    return fit_families(xs, sorted_copy(xs), families);
+}
+
 Fit fit_best(std::span<const double> xs) {
-    static const Family kDefault[] = {Family::kExponential, Family::kNormal,
-                                      Family::kLogNormal,   Family::kPareto,
-                                      Family::kWeibull,     Family::kGamma,
-                                      Family::kUniform};
-    auto fits = fit_all(xs, kDefault);
+    auto fits = fit_all(xs, kDefaultFamilies);
     if (fits.empty()) throw std::runtime_error("fit_best: no family fit the sample");
     return std::move(fits.front());
 }
@@ -172,9 +193,13 @@ std::unique_ptr<Distribution> fit_or_empirical(std::span<const double> xs,
                                                double ks_threshold) {
     require_nonempty(xs, "fit_or_empirical");
     if (is_constant(xs)) return std::make_unique<Deterministic>(xs.front());
-    auto best = fit_best(xs);
-    if (best.valid() && best.ks <= ks_threshold) return std::move(best.dist);
-    return std::make_unique<Empirical>(xs);
+    // One sorted copy serves every family's KS and, on fallback, becomes
+    // the Empirical's storage.
+    auto sorted = sorted_copy(xs);
+    auto fits = fit_families(xs, sorted, kDefaultFamilies);
+    if (fits.empty()) throw std::runtime_error("fit_best: no family fit the sample");
+    if (fits.front().ks <= ks_threshold) return std::move(fits.front().dist);
+    return Empirical::from_sorted(std::move(sorted));
 }
 
 }  // namespace kooza::stats

@@ -13,10 +13,17 @@ double ks_statistic(std::span<const double> xs, const Distribution& dist) {
     if (xs.empty()) throw std::invalid_argument("ks_statistic: empty sample");
     std::vector<double> s(xs.begin(), xs.end());
     std::sort(s.begin(), s.end());
-    const double n = double(s.size());
+    return ks_statistic_sorted(s, dist);
+}
+
+double ks_statistic_sorted(std::span<const double> sorted, const Distribution& dist) {
+    if (sorted.empty()) throw std::invalid_argument("ks_statistic: empty sample");
+    const double n = double(sorted.size());
     double d = 0.0;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        const double f = dist.cdf(s[i]);
+    double f = 0.0;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        // Tied values share one cdf evaluation.
+        if (i == 0 || sorted[i] != sorted[i - 1]) f = dist.cdf(sorted[i]);
         d = std::max(d, std::fabs(double(i + 1) / n - f));
         d = std::max(d, std::fabs(f - double(i) / n));
     }

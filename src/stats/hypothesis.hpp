@@ -23,6 +23,11 @@ struct TestResult {
 /// One-sample KS statistic D = sup |F_n(x) - F(x)|. Throws on empty sample.
 [[nodiscard]] double ks_statistic(std::span<const double> xs, const Distribution& dist);
 
+/// ks_statistic over a sample already sorted ascending — no copy, no
+/// sort, so one sorted sample can be scored against many candidates.
+[[nodiscard]] double ks_statistic_sorted(std::span<const double> sorted,
+                                         const Distribution& dist);
+
 /// One-sample KS test against a fully-specified distribution.
 [[nodiscard]] TestResult ks_test(std::span<const double> xs, const Distribution& dist);
 

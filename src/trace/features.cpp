@@ -1,7 +1,6 @@
 #include "trace/features.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 namespace kooza::trace {

@@ -6,9 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "trace/traceset.hpp"
@@ -83,7 +83,7 @@ private:
         std::uint32_t first_bank = 0;
     };
 
-    std::map<std::uint64_t, PerRequest> acc_;
+    std::unordered_map<std::uint64_t, PerRequest> acc_;
     std::vector<RequestRecord> requests_;
 };
 

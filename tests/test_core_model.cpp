@@ -5,6 +5,7 @@
 #include "core/trainer.hpp"
 #include "core/validator.hpp"
 #include "gfs/cluster.hpp"
+#include "stats/descriptive.hpp"
 #include "trace/features.hpp"
 #include "workloads/profiles.hpp"
 
@@ -209,6 +210,11 @@ TEST(Validator, TailRowsMakeQuantilesAndGoodputFirstClass) {
     EXPECT_GE(p99->original, p95->original);
     EXPECT_GT(goodput->original, 0.0);
     EXPECT_EQ(goodput->unit, "req/s");
+    // The rows sort each side once; the values are stats::quantile's.
+    const auto lat = kooza::trace::column_latency(fs);
+    EXPECT_EQ(p50->original, kooza::stats::quantile(lat, 0.50));
+    EXPECT_EQ(p95->original, kooza::stats::quantile(lat, 0.95));
+    EXPECT_EQ(p99->synthetic, kooza::stats::quantile(lat, 0.99));
     // Self-comparison: every new row is exact.
     EXPECT_DOUBLE_EQ(p99->variation_pct, 0.0);
     EXPECT_DOUBLE_EQ(goodput->variation_pct, 0.0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iomanip>
 #include <sstream>
 
 #include "core/generator.hpp"
@@ -57,6 +58,43 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, DistributionRoundTrip,
                                            "normal", "lognormal", "pareto", "weibull",
                                            "gamma", "empirical"),
                          [](const auto& info) { return info.param; });
+
+/// save_distribution at the precision save_model writes with.
+std::string saved(const stats::Distribution& d) {
+    std::stringstream ss;
+    ss << std::setprecision(17);
+    save_distribution(d, ss);
+    return ss.str();
+}
+
+std::unique_ptr<stats::Distribution> loaded(const std::string& text) {
+    std::stringstream ss(text);
+    return load_distribution(ss);
+}
+
+// Gamma used to be written as mean^2/var, var/mean, which can drift by an
+// ulp (a websearch capture fitted this gamma shape), and normal as
+// sqrt(variance()), which loses bits once the variance underflows; then
+// save -> load -> save was not byte-identical.
+TEST(DistributionSerialize, GammaAndNormalRoundTripBitwise) {
+    for (double scale : {1e-6, 0.0173, 0.5, 3.0, 4096.0, 1.7e7}) {
+        const stats::Gamma g(2.9786163074721799, scale);
+        const auto back = loaded(saved(g));
+        const auto* bg = dynamic_cast<const stats::Gamma*>(back.get());
+        ASSERT_NE(bg, nullptr);
+        EXPECT_EQ(bg->shape(), g.shape()) << "scale " << scale;
+        EXPECT_EQ(bg->scale(), g.scale()) << "scale " << scale;
+        EXPECT_EQ(saved(*back), saved(g)) << "scale " << scale;
+    }
+    for (double sd : {1e-160, 1e-9, 0.1, 2.9786163074721799, 1234.5678}) {
+        const stats::Normal n(10.0, sd);
+        const auto back = loaded(saved(n));
+        const auto* bn = dynamic_cast<const stats::Normal*>(back.get());
+        ASSERT_NE(bn, nullptr);
+        EXPECT_EQ(bn->sigma(), n.sigma()) << "sd " << sd;
+        EXPECT_EQ(saved(*back), saved(n)) << "sd " << sd;
+    }
+}
 
 ServerModel train_micro(std::uint64_t seed) {
     gfs::GfsConfig cfg;

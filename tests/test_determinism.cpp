@@ -62,17 +62,27 @@ TEST(CanonicalPhases, WriteDiffersFromRead) {
 
 TEST(Determinism, TrainerByteIdenticalAcrossThreadCounts) {
     ThreadGuard guard;
-    const auto ts = capture_micro(11);
+    // Reads and writes, so both types' chains and structure queues are in
+    // the flat fit plan, with several states per chain.
+    const auto ts = capture_micro(11, 600);
     auto serialized = [&ts](std::size_t threads) {
         par::set_threads(threads);
         const auto model = Trainer({.workload_name = "det-test"}).train(ts);
+        EXPECT_TRUE(model.has_reads());
+        EXPECT_TRUE(model.has_writes());
+        for (const TypeModel* t : {&model.reads(), &model.writes()}) {
+            EXPECT_GT(t->storage.chain().n_states(), 1u);
+            EXPECT_GT(t->memory.chain().n_states(), 1u);
+            EXPECT_GT(t->cpu.chain().n_states(), 1u);
+            EXPECT_GT(t->structure.training_traces(), 0u);
+        }
         std::stringstream ss;
         save_model(model, ss);
         return ss.str();
     };
     const auto one = serialized(1);
-    EXPECT_EQ(one, serialized(4));
-    EXPECT_EQ(one, serialized(7));
+    for (std::size_t threads : {2, 4, 7, 8})
+        EXPECT_EQ(one, serialized(threads)) << threads << " threads";
 }
 
 TEST(Determinism, ShardedReplayIdenticalAcrossThreadCounts) {

@@ -3,12 +3,16 @@
 // fit_best must identify the generating family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "sim/rng.hpp"
 #include "stats/empirical.hpp"
 #include "stats/fitting.hpp"
+#include "stats/hypothesis.hpp"
 
 namespace {
 
@@ -170,6 +174,168 @@ TEST(FitOrEmpirical, ConstantGivesDeterministic) {
     const std::vector<double> xs{4.0, 4.0};
     auto d = fit_or_empirical(xs);
     EXPECT_EQ(d->name(), "deterministic");
+}
+
+// ---- Sort-once model selection vs a per-family reference. ---------------
+//
+// fit_all/fit_or_empirical sort one copy of the sample and score every
+// family on it; the reference below is the straightforward version that
+// lets ks_statistic copy and sort per family. Both must agree bitwise.
+
+const Family kDefaultFamilies[] = {Family::kExponential, Family::kNormal,
+                                   Family::kLogNormal,   Family::kPareto,
+                                   Family::kWeibull,     Family::kGamma,
+                                   Family::kUniform};
+
+std::vector<Fit> reference_fit_all(std::span<const double> xs,
+                                   std::span<const Family> families) {
+    std::vector<Fit> fits;
+    if (std::all_of(xs.begin(), xs.end(), [&](double x) { return x == xs.front(); })) {
+        fits.push_back(Fit{std::make_unique<Deterministic>(xs.front()), 0.0});
+        return fits;
+    }
+    for (Family f : families) {
+        std::unique_ptr<Distribution> d;
+        try {
+            switch (f) {
+                case Family::kDeterministic: continue;
+                case Family::kUniform: d = fit_uniform(xs); break;
+                case Family::kExponential: d = fit_exponential(xs); break;
+                case Family::kNormal: d = fit_normal(xs); break;
+                case Family::kLogNormal: d = fit_lognormal(xs); break;
+                case Family::kPareto: d = fit_pareto(xs); break;
+                case Family::kWeibull: d = fit_weibull(xs); break;
+                case Family::kGamma: d = fit_gamma(xs); break;
+            }
+        } catch (const std::invalid_argument&) {
+            continue;
+        }
+        const double ks = ks_statistic(xs, *d);
+        fits.push_back(Fit{std::move(d), ks});
+    }
+    std::sort(fits.begin(), fits.end(),
+              [](const Fit& a, const Fit& b) { return a.ks < b.ks; });
+    return fits;
+}
+
+std::unique_ptr<Distribution> reference_fit_or_empirical(std::span<const double> xs,
+                                                         double ks_threshold) {
+    auto fits = reference_fit_all(xs, kDefaultFamilies);
+    if (fits.front().dist->name() == "deterministic" || fits.front().ks <= ks_threshold)
+        return std::move(fits.front().dist);
+    return std::make_unique<Empirical>(xs);
+}
+
+/// A distribution's stored parameters, for bitwise comparison.
+std::vector<double> params(const Distribution& d) {
+    if (auto* p = dynamic_cast<const Deterministic*>(&d)) return {p->value()};
+    if (auto* p = dynamic_cast<const Uniform*>(&d)) return {p->lo(), p->hi()};
+    if (auto* p = dynamic_cast<const Exponential*>(&d)) return {p->lambda()};
+    if (auto* p = dynamic_cast<const Normal*>(&d)) return {p->mean(), p->sigma()};
+    if (auto* p = dynamic_cast<const LogNormal*>(&d)) return {p->mu(), p->sigma()};
+    if (auto* p = dynamic_cast<const Pareto*>(&d)) return {p->xm(), p->alpha()};
+    if (auto* p = dynamic_cast<const Weibull*>(&d)) return {p->shape(), p->scale()};
+    if (auto* p = dynamic_cast<const Gamma*>(&d)) return {p->shape(), p->scale()};
+    if (auto* p = dynamic_cast<const Empirical*>(&d)) return p->sorted();
+    ADD_FAILURE() << "unknown family " << d.name();
+    return {};
+}
+
+void expect_same_fits(std::span<const double> xs) {
+    const auto got = fit_all(xs, kDefaultFamilies);
+    const auto want = reference_fit_all(xs, kDefaultFamilies);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].dist->name(), want[i].dist->name()) << "rank " << i;
+        EXPECT_EQ(got[i].ks, want[i].ks) << want[i].dist->name();
+        EXPECT_EQ(params(*got[i].dist), params(*want[i].dist)) << want[i].dist->name();
+    }
+}
+
+/// Fixtures: continuous, heavily tied, and mixed-sign samples in an
+/// order that is not sorted.
+std::vector<double> lognormal_sample() { return draw(LogNormal(1.0, 0.6), 3000, 21); }
+
+std::vector<double> tied_sample() {
+    // Twelve distinct values, like a near-constant phase duration.
+    Rng rng(22);
+    std::vector<double> xs(5000);
+    for (auto& x : xs) x = 5.4e-05 + 1e-12 * double(rng.uniform_int(0, 11));
+    return xs;
+}
+
+TEST(SortOnceFit, MatchesPerFamilyReference) {
+    expect_same_fits(lognormal_sample());
+    expect_same_fits(draw(Weibull(1.7, 3.0), 2000, 23));
+    expect_same_fits(draw(Gamma(2.5, 0.3), 2000, 24));
+}
+
+TEST(SortOnceFit, TiesMatchReference) {
+    expect_same_fits(tied_sample());
+    // Quantized sizes: a handful of block sizes repeated.
+    Rng rng(25);
+    std::vector<double> sizes(4000);
+    for (auto& x : sizes) x = 4096.0 * double(1 << rng.uniform_int(0, 4));
+    expect_same_fits(sizes);
+}
+
+TEST(SortOnceFit, ConstantSample) {
+    const std::vector<double> xs(50, 3.25);
+    expect_same_fits(xs);
+    const auto d = fit_or_empirical(xs);
+    EXPECT_EQ(params(*d), params(*reference_fit_or_empirical(xs, 0.08)));
+}
+
+TEST(SortOnceFit, NonPositiveDataSkipsFamilies) {
+    // Zeros and negatives rule out lognormal, pareto, weibull and gamma.
+    std::vector<double> xs = draw(Normal(0.5, 2.0), 2000, 26);
+    xs[7] = 0.0;
+    expect_same_fits(xs);
+    const auto fits = fit_all(xs, kDefaultFamilies);
+    for (const auto& f : fits) {
+        EXPECT_NE(f.dist->name(), "lognormal");
+        EXPECT_NE(f.dist->name(), "pareto");
+        EXPECT_NE(f.dist->name(), "weibull");
+        EXPECT_NE(f.dist->name(), "gamma");
+    }
+}
+
+TEST(SortOnceFit, ThresholdIsInclusive) {
+    // A threshold exactly at the best KS keeps the parametric fit; one ulp
+    // below falls back to the empirical distribution.
+    for (const auto& xs : {lognormal_sample(), tied_sample()}) {
+        const double best = reference_fit_all(xs, kDefaultFamilies).front().ks;
+        for (double thr : {best, std::nextafter(best, 0.0)}) {
+            const auto got = fit_or_empirical(xs, thr);
+            const auto want = reference_fit_or_empirical(xs, thr);
+            EXPECT_EQ(got->name(), want->name());
+            EXPECT_EQ(params(*got), params(*want));
+        }
+        EXPECT_NE(fit_or_empirical(xs, best)->name(), "empirical");
+        EXPECT_EQ(fit_or_empirical(xs, std::nextafter(best, 0.0))->name(), "empirical");
+    }
+}
+
+TEST(SortOnceFit, DefaultThresholdMatchesReference) {
+    // At the default 0.08 one fixture stays parametric and one falls back.
+    const auto smooth = lognormal_sample();
+    EXPECT_NE(fit_or_empirical(smooth, 0.08)->name(), "empirical");
+    EXPECT_EQ(params(*fit_or_empirical(smooth, 0.08)),
+              params(*reference_fit_or_empirical(smooth, 0.08)));
+    const auto tied = tied_sample();
+    EXPECT_EQ(fit_or_empirical(tied, 0.08)->name(), "empirical");
+    EXPECT_EQ(params(*fit_or_empirical(tied, 0.08)),
+              params(*reference_fit_or_empirical(tied, 0.08)));
+}
+
+TEST(SortOnceFit, EmpiricalFallbackKeepsSortedSample) {
+    Rng rng(27);
+    std::vector<double> xs;
+    for (int i = 0; i < 2000; ++i)
+        xs.push_back(rng.bernoulli(0.5) ? rng.normal(1.0, 0.01) : rng.normal(100.0, 0.01));
+    const auto d = fit_or_empirical(xs, 0.05);
+    ASSERT_EQ(d->name(), "empirical");
+    EXPECT_EQ(params(*d), params(Empirical(xs)));
 }
 
 TEST(FamilyName, AllNamed) {

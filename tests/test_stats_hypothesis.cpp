@@ -1,6 +1,10 @@
 // Tests for KS / chi-square tests and the special functions behind them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "sim/rng.hpp"
 #include "stats/distributions.hpp"
 #include "stats/hypothesis.hpp"
@@ -72,6 +76,25 @@ TEST(KsStatistic, ExactSmallSample) {
     const std::vector<double> xs{0.5};
     EXPECT_DOUBLE_EQ(ks_statistic(xs, u), 0.5);
     EXPECT_THROW((void)ks_statistic({}, u), std::invalid_argument);
+}
+
+TEST(KsStatistic, TiedPointsMatchPerPointCdf) {
+    // Three-way ties at a spacing far below 1: tied points share one cdf
+    // evaluation, neighbouring distinct points must not.
+    std::vector<double> sorted;
+    for (int i = 0; i < 900; ++i) sorted.push_back(1e-10 * double(i / 3));
+    const Uniform dist(0.0, 1e-10 * 300.0);
+    const double n = double(sorted.size());
+    double want = 0.0;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        const double f = dist.cdf(sorted[i]);
+        want = std::max(want, std::fabs(double(i + 1) / n - f));
+        want = std::max(want, std::fabs(f - double(i) / n));
+    }
+    EXPECT_EQ(ks_statistic_sorted(sorted, dist), want);
+    std::vector<double> shuffled(sorted.rbegin(), sorted.rend());
+    EXPECT_EQ(ks_statistic(shuffled, dist), want);
+    EXPECT_THROW((void)ks_statistic_sorted({}, dist), std::invalid_argument);
 }
 
 TEST(KsTwoSample, SameSourceAccepted) {
