@@ -1,7 +1,9 @@
 #include "core/replayer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -225,6 +227,73 @@ private:
     const ReplayConfig& cfg_;
 };
 
+/// Feeds a workload's arrivals into the engine a few at a time instead of
+/// queueing the whole schedule up front, so pending events stay
+/// O(in-flight), as in capture's SchedulePump. Arrivals fire in stable
+/// time order. The first arrival of each instant arms every arrival of
+/// the next instant before it runs its request, so arrivals of one
+/// instant fire back to back in workload order, ahead of the work the
+/// requests schedule for that instant (see DESIGN.md "Event core").
+/// Request ids are `base_id` plus the workload index. Events reference
+/// `requests`, which outlives the engine run.
+class ArrivalPump {
+public:
+    ArrivalPump(Runtime& rt, Execution& exec,
+                const std::vector<SyntheticRequest>& requests,
+                std::uint64_t base_id, ReplayMode mode)
+        : rt_(rt), exec_(exec), requests_(requests), order_(requests.size()),
+          base_id_(base_id), mode_(mode) {
+        for (const auto& r : requests_)
+            if (!(std::isfinite(r.time) && r.time >= 0.0))
+                throw std::invalid_argument(
+                    "Replayer::replay: arrival time not finite and non-negative");
+        std::iota(order_.begin(), order_.end(), std::size_t{0});
+        std::stable_sort(order_.begin(), order_.end(),
+                         [this](std::size_t a, std::size_t b) {
+                             return requests_[a].time < requests_[b].time;
+                         });
+        arm_next_instant();
+    }
+
+private:
+    [[nodiscard]] double at(std::size_t k) const {
+        return requests_[order_[k]].time;
+    }
+
+    void arm_next_instant() {
+        if (armed_ == order_.size()) return;
+        const double t = at(armed_);
+        do {
+            const std::size_t k = armed_++;
+            rt_.engine.schedule_at(t, [this, k] {
+                // Only the instant's first arrival to fire still finds the
+                // newest armed arrival at its own instant.
+                if (at(armed_ - 1) == at(k)) arm_next_instant();
+                run(order_[k]);
+            });
+        } while (armed_ < order_.size() && at(armed_) == t);
+    }
+
+    void run(std::size_t i) {
+        const SyntheticRequest& r = requests_[i];
+        const std::size_t server = std::size_t(r.server % rt_.servers.size());
+        // A request with no phase list cannot be replayed in order — fall
+        // back to concurrent stressing.
+        if (mode_ == ReplayMode::kStructured && !r.phases.empty())
+            exec_.run_structured(base_id_ + i, r, server);
+        else
+            exec_.run_independent(base_id_ + i, r, server);
+    }
+
+    Runtime& rt_;
+    Execution& exec_;
+    const std::vector<SyntheticRequest>& requests_;
+    std::vector<std::size_t> order_;  ///< workload indices, stable time order
+    std::size_t armed_ = 0;           ///< arrivals scheduled so far
+    std::uint64_t base_id_;
+    ReplayMode mode_;
+};
+
 }  // namespace
 
 Replayer::Replayer(ReplayConfig cfg) : cfg_(cfg) {
@@ -299,21 +368,7 @@ ReplayResult Replayer::replay_with_ids(const SyntheticWorkload& workload,
         throw std::invalid_argument("Replayer::replay: empty workload");
     Runtime rt(cfg_);
     Execution exec(rt, cfg_);
-    // Events reference the requests in `workload`, which outlives the
-    // engine run below.
-    std::uint64_t id = base_id;
-    for (const auto& r : workload.requests) {
-        const std::uint64_t rid = id++;
-        const std::size_t server = std::size_t(r.server % rt.servers.size());
-        rt.engine.schedule_at(r.time, [&exec, &r, rid, server, mode] {
-            // A request with no phase list cannot be replayed in order —
-            // fall back to concurrent stressing.
-            if (mode == ReplayMode::kStructured && !r.phases.empty())
-                exec.run_structured(rid, r, server);
-            else
-                exec.run_independent(rid, r, server);
-        });
-    }
+    ArrivalPump pump(rt, exec, workload.requests, base_id, mode);
     rt.engine.run();
     ReplayResult out;
     out.traces = std::move(rt.traces);

@@ -33,7 +33,10 @@ struct ReplayConfig {
                       .per_request_overhead = 20e-6};
     hw::MemoryParams memory{};
     hw::SwitchParams net{};
-    std::size_t n_servers = 1;      ///< synthetic requests round-robin over servers
+    /// Replay servers. Request r runs on server `r.server % n_servers`
+    /// (a `repl.forward` phase hops to the next one). core::Generator
+    /// leaves `server` at 0; core::ClusterModel tags each request.
+    std::size_t n_servers = 1;
     std::uint64_t control_bytes = 512;
     /// Split of a request's CPU busy time before/after I/O (take it from
     /// ServerModel::cpu_verify_fraction for a trained model).

@@ -29,18 +29,20 @@ EngineMetrics& metrics() {
 Engine::~Engine() {
     // Unfired events (daemon chains, post-stop leftovers) still own arena
     // nodes; destroy them before the arena goes away.
-    queue_.for_each([this](EventNode* n) {
-        n->~EventNode();
-        arena_.deallocate(n, sizeof(EventNode));
-    });
-    queue_.clear();
+    for (const Entry& e : heap_) {
+        e.node->~EventNode();
+        arena_.deallocate(e.node, sizeof(EventNode));
+    }
     flush_metrics();
 }
 
 bool Engine::step() {
-    EventNode* n = queue_.pop();
-    if (!n) return false;
-    now_ = n->at;
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    EventNode* n = e.node;
+    now_ = e.at;
     if (!n->daemon) --live_;
     ++executed_;
     ++tally_dispatched_;
@@ -72,8 +74,7 @@ std::uint64_t Engine::run_until(Time deadline) {
     stopped_ = false;
     std::uint64_t n = 0;
     while (!stopped_) {
-        EventNode* head = queue_.peek();
-        if (!head || head->at > deadline) break;
+        if (heap_.empty() || heap_.front().at > deadline) break;
         step();
         ++n;
     }

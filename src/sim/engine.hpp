@@ -9,18 +9,20 @@
 // Hot-path layout (see DESIGN.md "Event core"): callbacks are sim::EventFn
 // (48-byte inline small-buffer callables, no per-event heap allocation),
 // event nodes live in a slab/free-list EventArena and are recycled on
-// dispatch, and the queue is a calendar-queue scheduler with a binary-heap
-// fallback — all preserving the strict (at, seq) dispatch order, so runs
-// are byte-identical to the original std::function/binary-heap engine.
+// dispatch, and the queue is one binary heap of (at, seq, node) entries in
+// strict (at, seq) dispatch order. Sources of many future events (capture
+// schedules, replayed workloads) feed them in one at a time, so the heap
+// stays at in-flight depth.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <new>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "sim/calendar.hpp"
 #include "sim/eventfn.hpp"
 
 namespace kooza::sim {
@@ -93,10 +95,10 @@ public:
     void stop() noexcept { stopped_ = true; }
 
     /// True if no events are pending.
-    [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
     /// Number of pending events.
-    [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+    [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
     /// Total events executed since construction.
     [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
@@ -107,13 +109,28 @@ public:
     /// the system heap too. Single-threaded, like the engine itself.
     [[nodiscard]] EventArena& arena() noexcept { return arena_; }
 
-    /// True once the scheduler abandoned the calendar queue for its
-    /// binary-heap fallback (pathological timestamp distribution).
-    [[nodiscard]] bool scheduler_heap_fallback() const noexcept {
-        return queue_.heap_fallback();
-    }
-
 private:
+    /// One scheduled callback, allocated from the arena. Its (at, seq) key
+    /// lives in the heap entry, so heap sifts move 24-byte entries and
+    /// never touch the node.
+    struct EventNode {
+        bool daemon = false;  ///< daemon events do not keep run() alive
+        EventFn fn;
+    };
+    struct Entry {
+        Time at;
+        std::uint64_t seq;  ///< tie-breaker: FIFO among equal timestamps
+        EventNode* node;
+    };
+    /// Heap order: the std::push_heap max-heap with "later" as less puts
+    /// the earliest (at, seq) at the front.
+    struct Later {
+        bool operator()(const Entry& a, const Entry& b) const noexcept {
+            if (a.at != b.at) return a.at > b.at;
+            return a.seq > b.seq;
+        }
+    };
+
     /// std::function (and function pointers) carry an "empty" state the
     /// engine must reject eagerly — an empty callable would otherwise blow
     /// up mid-simulation at dispatch time. Lambdas have no such state and
@@ -141,12 +158,12 @@ private:
         if (at < now_)
             throw std::invalid_argument("Engine::schedule_at: time in the past");
         auto* n = ::new (arena_.allocate(sizeof(EventNode)))
-            EventNode{at, next_seq_++, 0, nullptr, daemon ? 1u : 0u,
-                      EventFn(&arena_, std::forward<F>(action))};
-        queue_.push(n);
+            EventNode{daemon, EventFn(&arena_, std::forward<F>(action))};
+        heap_.push_back(Entry{at, next_seq_++, n});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
         if (!daemon) ++live_;
         ++tally_scheduled_;
-        if (queue_.size() > depth_peak_) depth_peak_ = queue_.size();
+        if (heap_.size() > depth_peak_) depth_peak_ = heap_.size();
     }
 
     /// Fold the engine-local tallies into the process-wide obs registry.
@@ -165,8 +182,8 @@ private:
     std::uint64_t tally_dispatched_ = 0;
     std::size_t depth_peak_ = 0;  ///< lifetime queue-depth high-water mark
 
-    EventArena arena_;  ///< declared before queue_: nodes live in it
-    CalendarQueue queue_;
+    EventArena arena_;  ///< heap_ entries point into it
+    std::vector<Entry> heap_;
 };
 
 }  // namespace kooza::sim

@@ -29,7 +29,7 @@ namespace kooza::sim {
 /// Inline capture capacity of EventFn, in bytes.
 inline constexpr std::size_t kEventFnInlineBytes = 48;
 
-/// Slab/free-list allocator for engine-owned allocations: calendar-queue
+/// Slab/free-list allocator for engine-owned allocations: queued
 /// event nodes and oversized EventFn captures. Blocks come from geometric
 /// size classes (64 B .. 8 KiB) carved out of 64 KiB slabs; freed blocks
 /// return to a per-class intrusive free list, so a steady-state

@@ -1,8 +1,12 @@
 // Tests for the replayer: structured vs independent modes, trace output,
-// incast behaviour, and phase handling.
+// incast behaviour, phase handling, and arrival order and queue depth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/replayer.hpp"
+#include "obs/metrics.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/features.hpp"
 
@@ -231,6 +235,104 @@ TEST(Replayer, DeterministicAcrossRuns) {
     ASSERT_EQ(a.latencies.size(), b.latencies.size());
     for (std::size_t i = 0; i < a.latencies.size(); ++i)
         EXPECT_DOUBLE_EQ(a.latencies[i], b.latencies[i]);
+}
+
+TEST(Replayer, QueueDepthStaysAtInFlightScale) {
+    // 2000 well-spaced requests: only a handful are ever in flight, so
+    // the engine's pending set must stay near that, not near the length
+    // of the schedule.
+    std::vector<SyntheticRequest> rs;
+    for (int i = 0; i < 2000; ++i) rs.push_back(basic_read(double(i) * 0.02));
+    auto& peak = kooza::obs::gauge("sim.engine.queue_depth_peak");
+    peak.reset();
+    const auto res = Replayer{}.replay(workload_of(rs));
+    ASSERT_EQ(res.latencies.size(), 2000u);
+    EXPECT_GT(peak.max(), 0.0);
+    EXPECT_LE(peak.max(), 16.0);
+}
+
+// Requests whose CPU phase takes no time: each one's CPU completion and
+// deferred core grant land at its own arrival instant, so any reordering
+// of equal-time arrivals against that work changes who gets the core and
+// the disk first.
+SyntheticRequest zero_cpu_read(double t) {
+    auto r = basic_read(t);
+    r.cpu_busy_seconds = 0.0;
+    r.phases = {"cpu.verify", "disk.io", "cpu.aggregate"};
+    return r;
+}
+
+ReplayConfig one_core() {
+    ReplayConfig cfg;
+    cfg.cpu.cores = 1;
+    return cfg;
+}
+
+TEST(Replayer, EqualTimeArrivalsRunInWorkloadOrder) {
+    // Arrivals at one instant fire back to back in workload order, ahead
+    // of the work they schedule for that instant: the single core and the
+    // FIFO disk then serve the requests in workload order.
+    std::vector<SyntheticRequest> rs;
+    for (int i = 0; i < 4; ++i) rs.push_back(zero_cpu_read(0.0));
+    for (int i = 0; i < 3; ++i) rs.push_back(zero_cpu_read(0.001));
+    const auto res = Replayer{one_core()}.replay(workload_of(rs));
+    ASSERT_EQ(res.traces.storage.size(), rs.size());
+    for (std::size_t i = 0; i < rs.size(); ++i)
+        EXPECT_EQ(res.traces.storage[i].request_id, i);
+    ASSERT_EQ(res.latencies.size(), rs.size());
+    EXPECT_TRUE(std::is_sorted(res.latencies.begin(), res.latencies.begin() + 4));
+}
+
+TEST(Replayer, OutOfOrderWorkloadReplaysInStableTimeOrder) {
+    // The same requests listed out of time order replay exactly as the
+    // time-sorted list does, provided equal-time requests keep their
+    // relative order. Request ids stay the workload index.
+    std::vector<SyntheticRequest> sorted;
+    for (int i = 0; i < 3; ++i) sorted.push_back(zero_cpu_read(0.0));
+    for (int i = 0; i < 3; ++i) sorted.push_back(zero_cpu_read(0.001));
+    for (int i = 0; i < 3; ++i) sorted.push_back(zero_cpu_read(0.0015 * i + 0.002));
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+        sorted[i].storage_bytes = 4096 * (i + 1);  // tell the requests apart
+    // shuffled[j] = sorted[perm[j]]; ties (0,1,2) and (3,4,5) keep order.
+    const std::vector<std::size_t> perm = {8, 3, 0, 6, 4, 1, 7, 2, 5};
+    std::vector<SyntheticRequest> shuffled;
+    for (std::size_t k : perm) shuffled.push_back(sorted[k]);
+
+    const Replayer rep(one_core());
+    const auto a = rep.replay(workload_of(sorted));
+    const auto b = rep.replay(workload_of(shuffled));
+    EXPECT_EQ(a.latencies, b.latencies);
+    EXPECT_EQ(a.duration, b.duration);
+    ASSERT_EQ(a.traces.storage.size(), b.traces.storage.size());
+    for (std::size_t i = 0; i < a.traces.storage.size(); ++i) {
+        const auto& x = a.traces.storage[i];
+        const auto& y = b.traces.storage[i];
+        EXPECT_EQ(x.request_id, perm[y.request_id]);
+        EXPECT_EQ(x.time, y.time);
+        EXPECT_EQ(x.size_bytes, y.size_bytes);
+        EXPECT_EQ(x.latency, y.latency);
+    }
+    ASSERT_EQ(a.traces.cpu.size(), b.traces.cpu.size());
+    for (std::size_t i = 0; i < a.traces.cpu.size(); ++i) {
+        EXPECT_EQ(a.traces.cpu[i].request_id, perm[b.traces.cpu[i].request_id]);
+        EXPECT_EQ(a.traces.cpu[i].time, b.traces.cpu[i].time);
+    }
+    ASSERT_EQ(a.traces.requests.size(), b.traces.requests.size());
+    for (std::size_t i = 0; i < a.traces.requests.size(); ++i) {
+        const auto& x = a.traces.requests[i];
+        const auto& y = b.traces.requests[i];
+        EXPECT_EQ(x.request_id, perm[y.request_id]);
+        EXPECT_EQ(x.arrival, y.arrival);
+        EXPECT_EQ(x.completion, y.completion);
+    }
+}
+
+TEST(Replayer, RejectsNonFiniteOrNegativeArrival) {
+    for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+        auto rs = std::vector<SyntheticRequest>{basic_read(0.0), basic_read(t)};
+        EXPECT_THROW(Replayer{}.replay(workload_of(rs)), std::invalid_argument);
+    }
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// Event-core contracts: dispatch-order properties of the calendar-queue
-// scheduler against a reference priority queue, engine control-flow edge
-// cases (stop inside run_until, daemon-only queues, deadlines before the
-// first event, re-running after stop), non-finite timestamp rejection,
-// and the EventFn small-buffer callable.
+// Event-core contracts: dispatch-order properties of the engine's binary
+// heap against a reference priority queue, engine control-flow edge cases
+// (stop inside run_until, daemon-only queues, deadlines before the first
+// event, re-running after stop), non-finite timestamp rejection, and the
+// EventFn small-buffer callable.
 //
-// The order-property tests deliberately sweep distributions that push the
-// calendar through its internal modes — uniform (steady calendar),
-// bimodal-skewed (width re-estimation), all-equal and astronomically
-// spread timestamps (binary-heap fallback) — asserting the one contract
-// every mode must uphold: strict (at, seq) dispatch order.
+// The order-property tests sweep timestamp distributions — uniform,
+// bimodal-skewed, all-equal, astronomically spread, and a narrow cluster
+// followed by a wide spread — asserting the one contract every input must
+// uphold: strict (at, seq) dispatch order, FIFO among equal timestamps.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,8 +41,7 @@ double next_unit(std::uint64_t& s) { return double(next_u64(s) >> 11) * 0x1.0p-5
 // require the exact order a stable (at, insertion-order) sort prescribes.
 // ---------------------------------------------------------------------------
 
-void expect_dispatch_order(const std::vector<double>& ts,
-                           bool expect_fallback) {
+void expect_dispatch_order(const std::vector<double>& ts) {
     Engine eng;
     std::vector<std::size_t> fired;
     for (std::size_t i = 0; i < ts.size(); ++i)
@@ -56,51 +54,49 @@ void expect_dispatch_order(const std::vector<double>& ts,
                      [&](std::size_t a, std::size_t b) { return ts[a] < ts[b]; });
 
     ASSERT_EQ(fired, want);
-    EXPECT_EQ(eng.scheduler_heap_fallback(), expect_fallback);
 }
 
 TEST(EngineOrder, UniformTimestamps) {
     std::uint64_t s = 1;
     std::vector<double> ts(20000);
     for (auto& t : ts) t = next_unit(s);
-    expect_dispatch_order(ts, false);
+    expect_dispatch_order(ts);
 }
 
 TEST(EngineOrder, BimodalSkewedTimestamps) {
-    // 90% in [0, 0.1ms), 10% in [0, 100ms): the distribution that forces
-    // the calendar to re-estimate its bucket width.
+    // 90% in [0, 0.1ms), 10% in [0, 100ms): a dense cluster plus a long
+    // sparse tail.
     std::uint64_t s = 2;
     std::vector<double> ts(20000);
     for (auto& t : ts) {
         const double u = next_unit(s);
         t = u < 0.9 ? next_unit(s) * 0.1e-3 : next_unit(s) * 100e-3;
     }
-    expect_dispatch_order(ts, false);
+    expect_dispatch_order(ts);
 }
 
-TEST(EngineOrder, AllEqualTimestampsFallBackToHeap) {
-    // Degenerate: every event at one instant. No calendar width exists;
-    // the scheduler must fall back to its heap and keep FIFO order.
+TEST(EngineOrder, AllEqualTimestampsStayFifo) {
+    // Degenerate: every event at one instant. Order is decided by the
+    // sequence tie-breaker alone and must stay FIFO.
     std::vector<double> ts(5000, 1.0);
-    expect_dispatch_order(ts, true);
+    expect_dispatch_order(ts);
 }
 
-TEST(EngineOrder, AstronomicalRangeFallsBackToHeap) {
-    // A quotient beyond any representable calendar layout trips the
-    // overflow guard.
+TEST(EngineOrder, AstronomicalRangeKeepsOrder) {
+    // Microsecond timestamps interleaved with ones near 1e19 s: the order
+    // must come from comparing the times themselves, with no scaling
+    // that could overflow or lose precision.
     std::uint64_t s = 3;
     std::vector<double> ts(1000);
     for (std::size_t i = 0; i < ts.size(); ++i)
         ts[i] = (i % 2) ? next_unit(s) * 1e-6 : 1e19 + next_unit(s) * 1e19;
-    expect_dispatch_order(ts, true);
+    expect_dispatch_order(ts);
 }
 
-TEST(EngineOrder, NarrowWidthThenWideSpreadRecovers) {
-    // Fill with a dense microsecond-scale cluster (the width estimate
-    // lands tiny), drain it, then feed timestamps spread over hundreds of
-    // seconds: dispatch scans crawl until the long-scan trigger
-    // re-estimates the width. Order must hold throughout, without
-    // abandoning the calendar.
+TEST(EngineOrder, NarrowClusterThenWideSpread) {
+    // Fill with a dense microsecond-scale cluster, drain it, then feed
+    // timestamps spread over hundreds of seconds through the same engine.
+    // Order must hold across both phases.
     Engine eng;
     std::vector<double> fired;
     std::uint64_t s = 4;
@@ -114,14 +110,12 @@ TEST(EngineOrder, NarrowWidthThenWideSpreadRecovers) {
     eng.run();
     ASSERT_EQ(fired.size(), 10000u);
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
-    EXPECT_FALSE(eng.scheduler_heap_fallback());
 }
 
 TEST(EngineOrder, InterleavedHoldModelMatchesReferenceQueue) {
-    // Hold model (every dispatch schedules one successor): the push/pop
-    // interleaving exercises the insert pipeline's staged nodes as live
-    // queue members. The reference is a plain std::priority_queue over
-    // (at, seq).
+    // Hold model (every dispatch schedules one successor): pushes and pops
+    // interleave at a steady depth. The reference is a plain
+    // std::priority_queue over (at, seq).
     struct Ref {
         using Item = std::pair<double, std::uint64_t>;
         std::priority_queue<Item, std::vector<Item>, std::greater<>> q;
@@ -233,8 +227,8 @@ TEST(EngineControl, RunUntilDeadlineBeforeFirstEvent) {
 }
 
 TEST(EngineControl, PendingSeesJustScheduledEvents) {
-    // The insert pipeline stages the most recent pushes; they must still
-    // be fully visible to pending()/empty()/step().
+    // Events scheduled but not yet dispatched are fully visible to
+    // pending()/empty()/step().
     Engine eng;
     std::vector<int> order;
     eng.schedule_at(2.0, [&] { order.push_back(2); });
