@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "par/pool.hpp"
 #include "trace/binary.hpp"
 
 namespace kooza::baselines {
@@ -78,13 +80,17 @@ HmmModel HmmModel::fit_from_features(
 
     const auto obs = segment(features, cfg.segment_length);
     const auto t0 = std::chrono::steady_clock::now();
-    auto iat = markov::Echmm::fit(obs.iat, cfg.n_states, cfg.max_iter, cfg.tol,
-                                  cfg.seed, cfg.n_restarts);
-    auto size = markov::Echmm::fit(obs.size, cfg.n_states, cfg.max_iter, cfg.tol,
-                                   cfg.seed, cfg.n_restarts);
+    // The two streams are independent fits: run them on two lanes, each
+    // into its own slot (inline, inter-arrival first, at one thread).
+    const std::vector<std::vector<double>>* streams[2] = {&obs.iat, &obs.size};
+    std::optional<markov::Echmm> fits[2];
+    par::pool().parallel_for(2, [&](std::size_t k) {
+        fits[k].emplace(markov::Echmm::fit(*streams[k], cfg.n_states, cfg.max_iter,
+                                           cfg.tol, cfg.seed, cfg.n_restarts));
+    });
     const auto t1 = std::chrono::steady_clock::now();
 
-    HmmModel m(cfg, std::move(iat), std::move(size));
+    HmmModel m(cfg, std::move(*fits[0]), std::move(*fits[1]));
     m.segments_ = obs.size.size();
     m.fit_seconds_ =
         std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();

@@ -24,12 +24,26 @@ EchmmMetrics& echmm_metrics() {
     static EchmmMetrics m;
     return m;
 }
-}  // namespace
 
-double Echmm::log_emission(std::size_t state, double x) const {
-    const double d = (x - mu_[state]) / sigma_[state];
-    return -0.5 * (kLog2Pi + d * d) - std::log(sigma_[state]);
+/// Gaussian log-density of x under N(mu, sigma), given log(sigma).
+double log_gauss(double x, double mu, double sigma, double log_sigma) {
+    const double d = (x - mu) / sigma;
+    return -0.5 * (kLog2Pi + d * d) - log_sigma;
 }
+
+void log_each(const std::vector<double>& xs, std::vector<double>& out) {
+    out.resize(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) out[i] = std::log(xs[i]);
+}
+
+void require_finite(std::span<const double> xs, const char* who) {
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        if (!std::isfinite(xs[i]))
+            throw std::invalid_argument(std::string(who) +
+                                        ": non-finite observation at index " +
+                                        std::to_string(i));
+}
+}  // namespace
 
 Echmm::Fitter::Fitter(std::size_t n_states, double tol)
     : m_(n_states), tol_(tol), prev_ll_(-std::numeric_limits<double>::infinity()) {
@@ -41,6 +55,7 @@ void Echmm::Fitter::initialize(std::span<const double> pooled, std::uint64_t see
     const std::size_t n_states = m_.n_;
     if (pooled.size() < 2 * n_states)
         throw std::invalid_argument("Echmm::fit: too little data for state count");
+    require_finite(pooled, "Echmm::Fitter::initialize");
     std::vector<double> sorted(pooled.begin(), pooled.end());
     std::sort(sorted.begin(), sorted.end());
 
@@ -113,46 +128,53 @@ void Echmm::Fitter::accumulate(std::span<const double> seq) {
         throw std::logic_error("Echmm::Fitter: accumulate outside an iteration");
     const std::size_t T = seq.size();
     if (T == 0) return;
+    require_finite(seq, "Echmm::Fitter::accumulate");
     const std::size_t n = m_.n_;
+    const auto& a = m_.a_;
+    // Emission densities: one exp per (t, state), read by every pass below.
+    log_each(m_.sigma_, log_sigma_);
+    emit_.resize(T * n);
+    for (std::size_t t = 0; t < T; ++t)
+        for (std::size_t j = 0; j < n; ++j)
+            emit_[t * n + j] = std::exp(
+                log_gauss(seq[t], m_.mu_[j], m_.sigma_[j], log_sigma_[j]));
+    alpha_.resize(T * n);
+    beta_.resize(T * n);
+    scale_.assign(T, 0.0);
     // Scaled forward.
-    std::vector<std::vector<double>> alpha(T, std::vector<double>(n));
-    std::vector<std::vector<double>> beta(T, std::vector<double>(n));
-    std::vector<double> scale(T, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        alpha[0][i] = m_.pi_[i] * std::exp(m_.log_emission(i, seq[0]));
-    for (std::size_t i = 0; i < n; ++i) scale[0] += alpha[0][i];
-    scale[0] = std::max(scale[0], 1e-300);
-    for (std::size_t i = 0; i < n; ++i) alpha[0][i] /= scale[0];
+    for (std::size_t i = 0; i < n; ++i) alpha_[i] = m_.pi_[i] * emit_[i];
+    for (std::size_t i = 0; i < n; ++i) scale_[0] += alpha_[i];
+    scale_[0] = std::max(scale_[0], 1e-300);
+    for (std::size_t i = 0; i < n; ++i) alpha_[i] /= scale_[0];
     for (std::size_t t = 1; t < T; ++t) {
         for (std::size_t j = 0; j < n; ++j) {
             double s = 0.0;
-            for (std::size_t i = 0; i < n; ++i) s += alpha[t - 1][i] * m_.a_[i][j];
-            alpha[t][j] = s * std::exp(m_.log_emission(j, seq[t]));
+            for (std::size_t i = 0; i < n; ++i) s += alpha_[(t - 1) * n + i] * a[i][j];
+            alpha_[t * n + j] = s * emit_[t * n + j];
         }
-        for (std::size_t j = 0; j < n; ++j) scale[t] += alpha[t][j];
-        scale[t] = std::max(scale[t], 1e-300);
-        for (std::size_t j = 0; j < n; ++j) alpha[t][j] /= scale[t];
+        for (std::size_t j = 0; j < n; ++j) scale_[t] += alpha_[t * n + j];
+        scale_[t] = std::max(scale_[t], 1e-300);
+        for (std::size_t j = 0; j < n; ++j) alpha_[t * n + j] /= scale_[t];
     }
-    for (std::size_t t = 0; t < T; ++t) total_ll_ += std::log(scale[t]);
+    for (std::size_t t = 0; t < T; ++t) total_ll_ += std::log(scale_[t]);
     // Scaled backward.
-    for (std::size_t i = 0; i < n; ++i) beta[T - 1][i] = 1.0;
+    for (std::size_t i = 0; i < n; ++i) beta_[(T - 1) * n + i] = 1.0;
     for (std::size_t t = T - 1; t-- > 0;) {
         for (std::size_t i = 0; i < n; ++i) {
             double s = 0.0;
             for (std::size_t j = 0; j < n; ++j)
-                s += m_.a_[i][j] * std::exp(m_.log_emission(j, seq[t + 1])) *
-                     beta[t + 1][j];
-            beta[t][i] = s / scale[t + 1];
+                s += a[i][j] * emit_[(t + 1) * n + j] * beta_[(t + 1) * n + j];
+            beta_[t * n + i] = s / scale_[t + 1];
         }
     }
     // Gamma accumulation: first/second moments per state, so the M-step
     // can form the variance against the updated mean.
     for (std::size_t t = 0; t < T; ++t) {
         double norm = 0.0;
-        for (std::size_t i = 0; i < n; ++i) norm += alpha[t][i] * beta[t][i];
+        for (std::size_t i = 0; i < n; ++i) norm += alpha_[t * n + i] * beta_[t * n + i];
         norm = std::max(norm, 1e-300);
         for (std::size_t i = 0; i < n; ++i) {
-            const double g = alpha[t][i] * beta[t][i] / norm;
+            const double g = alpha_[t * n + i] * beta_[t * n + i] / norm;
             gamma_all_[i] += g;
             x_acc_[i] += g * seq[t];
             x2_acc_[i] += g * seq[t] * seq[t];
@@ -160,18 +182,18 @@ void Echmm::Fitter::accumulate(std::span<const double> seq) {
         }
     }
     // Xi accumulation.
-    std::vector<std::vector<double>> xi(n, std::vector<double>(n));
+    xi_.resize(n * n);
     for (std::size_t t = 0; t + 1 < T; ++t) {
         double norm = 0.0;
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j) {
-                xi[i][j] = alpha[t][i] * m_.a_[i][j] *
-                           std::exp(m_.log_emission(j, seq[t + 1])) * beta[t + 1][j];
-                norm += xi[i][j];
+                xi_[i * n + j] = alpha_[t * n + i] * a[i][j] *
+                                 emit_[(t + 1) * n + j] * beta_[(t + 1) * n + j];
+                norm += xi_[i * n + j];
             }
         norm = std::max(norm, 1e-300);
         for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j) a_acc_[i][j] += xi[i][j] / norm;
+            for (std::size_t j = 0; j < n; ++j) a_acc_[i][j] += xi_[i * n + j] / norm;
     }
 }
 
@@ -251,10 +273,14 @@ double Echmm::emission_stddev(std::size_t i) const {
 
 double Echmm::log_likelihood(std::span<const double> xs) const {
     if (xs.empty()) return 0.0;
+    std::vector<double> log_sigma;
+    log_each(sigma_, log_sigma);
+    const auto emission = [&](std::size_t j, double x) {
+        return std::exp(log_gauss(x, mu_[j], sigma_[j], log_sigma[j]));
+    };
     std::vector<double> alpha(n_);
     double ll = 0.0;
-    for (std::size_t i = 0; i < n_; ++i)
-        alpha[i] = pi_[i] * std::exp(log_emission(i, xs[0]));
+    for (std::size_t i = 0; i < n_; ++i) alpha[i] = pi_[i] * emission(i, xs[0]);
     double scale = 0.0;
     for (double a : alpha) scale += a;
     scale = std::max(scale, 1e-300);
@@ -265,7 +291,7 @@ double Echmm::log_likelihood(std::span<const double> xs) const {
         for (std::size_t j = 0; j < n_; ++j) {
             double s = 0.0;
             for (std::size_t i = 0; i < n_; ++i) s += alpha[i] * a_[i][j];
-            next[j] = s * std::exp(log_emission(j, xs[t]));
+            next[j] = s * emission(j, xs[t]);
         }
         scale = 0.0;
         for (double a : next) scale += a;
@@ -279,30 +305,39 @@ double Echmm::log_likelihood(std::span<const double> xs) const {
 std::vector<std::size_t> Echmm::viterbi(std::span<const double> xs) const {
     if (xs.empty()) return {};
     const std::size_t T = xs.size();
-    std::vector<std::vector<double>> delta(T, std::vector<double>(n_));
-    std::vector<std::vector<std::size_t>> psi(T, std::vector<std::size_t>(n_, 0));
-    for (std::size_t i = 0; i < n_; ++i)
-        delta[0][i] = std::log(std::max(pi_[i], 1e-300)) + log_emission(i, xs[0]);
+    const std::size_t n = n_;
+    std::vector<double> log_sigma;
+    log_each(sigma_, log_sigma);
+    const auto log_emission = [&](std::size_t j, double x) {
+        return log_gauss(x, mu_[j], sigma_[j], log_sigma[j]);
+    };
+    std::vector<double> log_a(n * n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            log_a[i * n + j] = std::log(std::max(a_[i][j], 1e-300));
+    // delta and psi are row-major T x n.
+    std::vector<double> delta(T * n);
+    std::vector<std::size_t> psi(T * n, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        delta[i] = std::log(std::max(pi_[i], 1e-300)) + log_emission(i, xs[0]);
     for (std::size_t t = 1; t < T; ++t)
-        for (std::size_t j = 0; j < n_; ++j) {
+        for (std::size_t j = 0; j < n; ++j) {
             double best = -std::numeric_limits<double>::infinity();
             std::size_t arg = 0;
-            for (std::size_t i = 0; i < n_; ++i) {
-                const double v =
-                    delta[t - 1][i] + std::log(std::max(a_[i][j], 1e-300));
+            for (std::size_t i = 0; i < n; ++i) {
+                const double v = delta[(t - 1) * n + i] + log_a[i * n + j];
                 if (v > best) {
                     best = v;
                     arg = i;
                 }
             }
-            delta[t][j] = best + log_emission(j, xs[t]);
-            psi[t][j] = arg;
+            delta[t * n + j] = best + log_emission(j, xs[t]);
+            psi[t * n + j] = arg;
         }
     std::vector<std::size_t> path(T);
-    path[T - 1] = std::size_t(
-        std::max_element(delta[T - 1].begin(), delta[T - 1].end()) -
-        delta[T - 1].begin());
-    for (std::size_t t = T - 1; t-- > 0;) path[t] = psi[t + 1][path[t + 1]];
+    const auto last = delta.begin() + std::ptrdiff_t((T - 1) * n);
+    path[T - 1] = std::size_t(std::max_element(last, delta.end()) - last);
+    for (std::size_t t = T - 1; t-- > 0;) path[t] = psi[(t + 1) * n + path[t + 1]];
     return path;
 }
 

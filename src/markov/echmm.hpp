@@ -74,8 +74,6 @@ public:
 private:
     explicit Echmm(std::size_t n) : n_(n) {}
 
-    [[nodiscard]] double log_emission(std::size_t state, double x) const;
-
     std::size_t n_;
     std::vector<double> pi_;                  ///< initial distribution
     std::vector<std::vector<double>> a_;      ///< transitions
@@ -97,6 +95,12 @@ private:
 /// M-step variance uses the E[x^2] - mu_new^2 form, so sigma is computed
 /// against the *updated* mean (a single stale-mean pass overestimates it
 /// by (mu_new - mu_old)^2 every iteration).
+///
+/// accumulate() evaluates each Gaussian emission density once per
+/// (t, state), with log(sigma) taken once per state, into a flat T x n
+/// table that the forward, backward and xi passes all read. Non-finite
+/// observations are rejected with std::invalid_argument naming their
+/// index.
 class Echmm::Fitter {
 public:
     explicit Fitter(std::size_t n_states, double tol = 1e-4);
@@ -134,6 +138,13 @@ private:
     std::vector<double> gamma_all_;  ///< sum of gamma over all t
     std::vector<double> x_acc_;      ///< sum of gamma * x
     std::vector<double> x2_acc_;     ///< sum of gamma * x^2
+    // Per-sequence scratch, row-major and reused across accumulate() calls.
+    std::vector<double> log_sigma_;  ///< log(sigma) per state
+    std::vector<double> emit_;       ///< T x n emission densities
+    std::vector<double> alpha_;      ///< T x n scaled forward variables
+    std::vector<double> beta_;       ///< T x n scaled backward variables
+    std::vector<double> scale_;      ///< T forward scale factors
+    std::vector<double> xi_;         ///< n x n xi of one step
 };
 
 }  // namespace kooza::markov

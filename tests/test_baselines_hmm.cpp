@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "baselines/hmm.hpp"
 #include "gfs/cluster.hpp"
+#include "par/pool.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/hypothesis.hpp"
 #include "trace/features.hpp"
@@ -40,6 +42,11 @@ struct TempDir {
         fs::remove_all(path);
     }
     ~TempDir() { fs::remove_all(path); }
+};
+
+/// Restores the automatic lane count when a thread-count test ends.
+struct ThreadGuard {
+    ~ThreadGuard() { kooza::par::set_threads(0); }
 };
 
 /// Exact (bitwise) model equality across every fitted parameter.
@@ -168,6 +175,34 @@ TEST(HmmBaseline, SeededRestartsNeverWorse) {
               m1.size_hmm().training_log_likelihood());
     EXPECT_GE(m4.interarrival_hmm().training_log_likelihood(),
               m1.interarrival_hmm().training_log_likelihood());
+}
+
+// The inter-arrival and size fits run on two pool lanes; each writes its
+// own slot, so the model (both HMMs, read_fraction and state_read_prob
+// included) is byte-identical at any lane count.
+TEST(HmmBaseline, TrainByteIdenticalAcrossThreadCounts) {
+    ThreadGuard guard;
+    const auto ts = simulate(350, 12);
+    kooza::par::set_threads(1);
+    const auto one = HmmModel::train(ts);
+    for (std::size_t lanes : {2u, 4u}) {
+        SCOPED_TRACE("lanes = " + std::to_string(lanes));
+        kooza::par::set_threads(lanes);
+        expect_models_identical(one, HmmModel::train(ts));
+    }
+}
+
+// A NaN arrival (the CSV reader's std::stod accepts "nan", and the binary
+// format stores it verbatim) is a typed error, not an all-NaN model.
+TEST(HmmBaseline, RejectsNonFiniteArrival) {
+    auto ts = simulate(300, 13);
+    ASSERT_GT(ts.requests.size(), 100u);
+    ts.requests[100].arrival = std::numeric_limits<double>::quiet_NaN();
+    ThreadGuard guard;
+    for (std::size_t lanes : {1u, 2u}) {
+        kooza::par::set_threads(lanes);
+        EXPECT_THROW(HmmModel::train(ts), std::invalid_argument);
+    }
 }
 
 TEST(HmmBaseline, Validation) {

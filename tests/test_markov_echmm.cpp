@@ -1,8 +1,13 @@
 // Tests for the Ergodic Continuous HMM (Moro '09 memory-trace model).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "markov/echmm.hpp"
 #include "obs/metrics.hpp"
@@ -291,6 +296,260 @@ TEST(Echmm, FitterGuardsProtocol) {
     const std::vector<double> tiny{1.0, 2.0};
     Echmm::Fitter starved(4);
     EXPECT_THROW(starved.initialize(tiny), std::invalid_argument);
+}
+
+// Reference Baum-Welch: the direct form, which recomputes every emission
+// density inside the forward, backward and xi loops and allocates its
+// alpha/beta/xi tables per sequence. The E-step, M-step and Viterbi bodies
+// below are kept verbatim so the table-driven Fitter can be held to
+// bitwise equality against them.
+struct ReferenceEchmm {
+    static constexpr double kLog2Pi = 1.8378770664093453;
+    static constexpr double kSigmaFloor = 1e-6;
+
+    std::size_t n_;
+    std::vector<double> pi_;
+    std::vector<std::vector<double>> a_;
+    std::vector<double> mu_;
+    std::vector<double> sigma_;
+    double train_ll_ = 0.0;
+    std::size_t iters_ = 0;
+
+    double tol_;
+    double prev_ll_ = -std::numeric_limits<double>::infinity();
+    double total_ll_ = 0.0;
+    std::vector<double> pi_acc_;
+    std::vector<std::vector<double>> a_acc_;
+    std::vector<double> gamma_all_;
+    std::vector<double> x_acc_;
+    std::vector<double> x2_acc_;
+
+    /// Starts from the Fitter's quantile initialization.
+    ReferenceEchmm(const Echmm& init, double tol) : n_(init.n_states()), tol_(tol) {
+        pi_ = init.initial();
+        a_.assign(n_, std::vector<double>(n_));
+        for (std::size_t i = 0; i < n_; ++i) {
+            mu_.push_back(init.emission_mean(i));
+            sigma_.push_back(init.emission_stddev(i));
+            for (std::size_t j = 0; j < n_; ++j) a_[i][j] = init.transition(i, j);
+        }
+    }
+
+    double log_emission(std::size_t state, double x) const {
+        const double d = (x - mu_[state]) / sigma_[state];
+        return -0.5 * (kLog2Pi + d * d) - std::log(sigma_[state]);
+    }
+
+    void begin_iteration() {
+        const std::size_t n = n_;
+        pi_acc_.assign(n, 1e-10);
+        a_acc_.assign(n, std::vector<double>(n, 1e-10));
+        gamma_all_.assign(n, 1e-10);
+        x_acc_.assign(n, 0.0);
+        x2_acc_.assign(n, 0.0);
+        total_ll_ = 0.0;
+    }
+
+    void accumulate(std::span<const double> seq) {
+        const std::size_t T = seq.size();
+        if (T == 0) return;
+        const std::size_t n = n_;
+        // Scaled forward.
+        std::vector<std::vector<double>> alpha(T, std::vector<double>(n));
+        std::vector<std::vector<double>> beta(T, std::vector<double>(n));
+        std::vector<double> scale(T, 0.0);
+        for (std::size_t i = 0; i < n; ++i)
+            alpha[0][i] = pi_[i] * std::exp(log_emission(i, seq[0]));
+        for (std::size_t i = 0; i < n; ++i) scale[0] += alpha[0][i];
+        scale[0] = std::max(scale[0], 1e-300);
+        for (std::size_t i = 0; i < n; ++i) alpha[0][i] /= scale[0];
+        for (std::size_t t = 1; t < T; ++t) {
+            for (std::size_t j = 0; j < n; ++j) {
+                double s = 0.0;
+                for (std::size_t i = 0; i < n; ++i) s += alpha[t - 1][i] * a_[i][j];
+                alpha[t][j] = s * std::exp(log_emission(j, seq[t]));
+            }
+            for (std::size_t j = 0; j < n; ++j) scale[t] += alpha[t][j];
+            scale[t] = std::max(scale[t], 1e-300);
+            for (std::size_t j = 0; j < n; ++j) alpha[t][j] /= scale[t];
+        }
+        for (std::size_t t = 0; t < T; ++t) total_ll_ += std::log(scale[t]);
+        // Scaled backward.
+        for (std::size_t i = 0; i < n; ++i) beta[T - 1][i] = 1.0;
+        for (std::size_t t = T - 1; t-- > 0;) {
+            for (std::size_t i = 0; i < n; ++i) {
+                double s = 0.0;
+                for (std::size_t j = 0; j < n; ++j)
+                    s += a_[i][j] * std::exp(log_emission(j, seq[t + 1])) *
+                         beta[t + 1][j];
+                beta[t][i] = s / scale[t + 1];
+            }
+        }
+        // Gamma accumulation.
+        for (std::size_t t = 0; t < T; ++t) {
+            double norm = 0.0;
+            for (std::size_t i = 0; i < n; ++i) norm += alpha[t][i] * beta[t][i];
+            norm = std::max(norm, 1e-300);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double g = alpha[t][i] * beta[t][i] / norm;
+                gamma_all_[i] += g;
+                x_acc_[i] += g * seq[t];
+                x2_acc_[i] += g * seq[t] * seq[t];
+                if (t == 0) pi_acc_[i] += g;
+            }
+        }
+        // Xi accumulation.
+        std::vector<std::vector<double>> xi(n, std::vector<double>(n));
+        for (std::size_t t = 0; t + 1 < T; ++t) {
+            double norm = 0.0;
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j) {
+                    xi[i][j] = alpha[t][i] * a_[i][j] *
+                               std::exp(log_emission(j, seq[t + 1])) * beta[t + 1][j];
+                    norm += xi[i][j];
+                }
+            norm = std::max(norm, 1e-300);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j) a_acc_[i][j] += xi[i][j] / norm;
+        }
+    }
+
+    bool end_iteration() {
+        const std::size_t n = n_;
+        double pi_norm = 0.0;
+        for (double p : pi_acc_) pi_norm += p;
+        for (std::size_t i = 0; i < n; ++i) pi_[i] = pi_acc_[i] / pi_norm;
+        for (std::size_t i = 0; i < n; ++i) {
+            double row = 0.0;
+            for (std::size_t j = 0; j < n; ++j) row += a_acc_[i][j];
+            for (std::size_t j = 0; j < n; ++j) a_[i][j] = a_acc_[i][j] / row;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const double mu = x_acc_[i] / gamma_all_[i];
+            const double var = std::max(x2_acc_[i] / gamma_all_[i] - mu * mu, 0.0);
+            mu_[i] = mu;
+            sigma_[i] = std::max(std::sqrt(var), kSigmaFloor);
+        }
+        train_ll_ = total_ll_;
+        ++iters_;
+        const bool converged = std::abs(total_ll_ - prev_ll_) < tol_;
+        prev_ll_ = total_ll_;
+        return converged;
+    }
+
+    std::vector<std::size_t> viterbi(std::span<const double> xs) const {
+        if (xs.empty()) return {};
+        const std::size_t T = xs.size();
+        std::vector<std::vector<double>> delta(T, std::vector<double>(n_));
+        std::vector<std::vector<std::size_t>> psi(T, std::vector<std::size_t>(n_, 0));
+        for (std::size_t i = 0; i < n_; ++i)
+            delta[0][i] = std::log(std::max(pi_[i], 1e-300)) + log_emission(i, xs[0]);
+        for (std::size_t t = 1; t < T; ++t)
+            for (std::size_t j = 0; j < n_; ++j) {
+                double best = -std::numeric_limits<double>::infinity();
+                std::size_t arg = 0;
+                for (std::size_t i = 0; i < n_; ++i) {
+                    const double v =
+                        delta[t - 1][i] + std::log(std::max(a_[i][j], 1e-300));
+                    if (v > best) {
+                        best = v;
+                        arg = i;
+                    }
+                }
+                delta[t][j] = best + log_emission(j, xs[t]);
+                psi[t][j] = arg;
+            }
+        std::vector<std::size_t> path(T);
+        path[T - 1] = std::size_t(
+            std::max_element(delta[T - 1].begin(), delta[T - 1].end()) -
+            delta[T - 1].begin());
+        for (std::size_t t = T - 1; t-- > 0;) path[t] = psi[t + 1][path[t + 1]];
+        return path;
+    }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The table-driven E-step, the M-step and Viterbi must reproduce the
+// direct form bit for bit: pi, A, mu, sigma, training log-likelihood,
+// convergence decisions, iteration count and decoded paths. Sequence
+// lengths 1, 2 and 256 cover the no-transition, single-transition and
+// long cases. The outlier stream is left out of the initialization, so
+// its far last point drives every emission density to 0 and the 1e-300
+// floors on the forward scale and the gamma/xi norms all take effect. (A
+// far point mid-stream would overflow beta to inf and turn the model into
+// NaN, which bitwise comparison cannot tell apart.)
+TEST(Echmm, FitterMatchesReferenceBaumWelch) {
+    const std::vector<std::vector<double>> clean{
+        {12.5}, {9.0, 101.0}, two_regime_sequence(256, 41)};
+    std::vector<double> pooled;
+    for (const auto& s : clean) pooled.insert(pooled.end(), s.begin(), s.end());
+    Rng rng(40);
+    std::vector<double> outlier(64);
+    for (auto& x : outlier) x = rng.normal(10.0, 1.0);
+    outlier.back() = 1e9;
+    auto seqs = clean;
+    seqs.push_back(outlier);
+
+    constexpr std::size_t kMaxIter = 12;
+    constexpr double kTol = 1e-6;
+    for (std::size_t n : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE("n_states = " + std::to_string(n));
+        Echmm::Fitter fitter(n, kTol);
+        fitter.initialize(pooled);
+        ReferenceEchmm ref(fitter.model(), kTol);
+        for (std::size_t iter = 0; iter < kMaxIter; ++iter) {
+            fitter.begin_iteration();
+            ref.begin_iteration();
+            for (const auto& s : seqs) {
+                fitter.accumulate(s);
+                ref.accumulate(s);
+            }
+            const bool converged = fitter.end_iteration();
+            ASSERT_EQ(converged, ref.end_iteration()) << "iteration " << iter;
+            if (converged) break;
+        }
+        const Echmm& m = fitter.model();
+        ASSERT_TRUE(std::isfinite(ref.train_ll_));
+        EXPECT_EQ(m.iterations_run(), ref.iters_);
+        EXPECT_EQ(bits(m.training_log_likelihood()), bits(ref.train_ll_));
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(bits(m.initial()[i]), bits(ref.pi_[i])) << "pi " << i;
+            EXPECT_EQ(bits(m.emission_mean(i)), bits(ref.mu_[i])) << "mu " << i;
+            EXPECT_EQ(bits(m.emission_stddev(i)), bits(ref.sigma_[i])) << "sigma " << i;
+            for (std::size_t j = 0; j < n; ++j)
+                EXPECT_EQ(bits(m.transition(i, j)), bits(ref.a_[i][j]))
+                    << "a " << i << "," << j;
+        }
+        for (const auto& s : seqs) EXPECT_EQ(m.viterbi(s), ref.viterbi(s));
+    }
+}
+
+// Non-finite observations are rejected, not sorted or averaged into an
+// all-NaN model: Echmm::fit checks the pooled data, and a Fitter checks
+// every sequence it is fed.
+TEST(Echmm, RejectsNonFiniteObservations) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        auto dirty = two_regime_sequence(200, 42);
+        dirty[57] = bad;
+        const std::vector<std::vector<double>> seqs{two_regime_sequence(200, 43),
+                                                    dirty};
+        EXPECT_THROW(Echmm::fit(seqs, 2, 5), std::invalid_argument);
+
+        Echmm::Fitter fitter(2);
+        EXPECT_THROW(fitter.initialize(dirty), std::invalid_argument);
+        fitter.initialize(seqs[0]);
+        fitter.begin_iteration();
+        try {
+            fitter.accumulate(dirty);
+            ADD_FAILURE() << "accumulate accepted " << bad;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("index 57"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Echmm, InitialDistributionNormalized) {
