@@ -13,7 +13,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -114,12 +113,13 @@ private:
 
 /// Chunk-feedable span collector behind StructureQueue::fit. Spans arrive
 /// in any order, one record or one chunk at a time, and are buffered as
-/// compact records (phase names interned to small ids) in one flat
-/// vector. seal() orders them once by (trace id, start, span id) — the
-/// trace order SpanTree::trace_ids yields and the span order SpanTree
-/// builds, ties kept in arrival order — so a queue fitted from chunked
-/// reads is identical to one fitted from the full span vector. Memory is
-/// O(buffered spans): captures bound it with span sampling
+/// compact records in one flat vector. Each record's phase is a dense
+/// local id, remapped from the span's PhaseName id and numbered in
+/// first-seen order. seal() orders them once by (trace id, start, span
+/// id) — the trace order SpanTree::trace_ids yields and the span order
+/// SpanTree builds, ties kept in arrival order — so a queue fitted from
+/// chunked reads is identical to one fitted from the full span vector.
+/// Memory is O(buffered spans): captures bound it with span sampling
 /// (GfsConfig::span_sample_every), not with record caps.
 class StructureAccumulator {
 public:
@@ -154,12 +154,13 @@ private:
         bool root = false;
     };
 
-    std::uint32_t intern(const std::string& name);
+    /// Local id of `name`, numbering it on first sight.
+    std::uint32_t local_id(trace::PhaseName name);
 
     std::vector<Record> spans_;
     bool sorted_ = true;
-    std::vector<std::string> phase_names_;
-    std::unordered_map<std::string, std::uint32_t> phase_ids_;
+    std::vector<trace::PhaseName> phase_names_;  ///< by local id
+    std::vector<std::uint32_t> local_ids_;       ///< PhaseName id -> local id
 };
 
 }  // namespace kooza::core

@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "gfs/chunkserver.hpp"
 #include "obs/metrics.hpp"
 #include "par/pool.hpp"
 #include "stats/fitting.hpp"
@@ -84,8 +85,8 @@ struct Trainer::TrainInputs {
 
 void Trainer::TrainInputs::observe_spans(const std::vector<trace::Span>& spans) {
     for (const auto& s : spans) {
-        if (s.name == "cpu.verify") verify_sum += s.duration();
-        if (s.name == "cpu.verify" || s.name == "cpu.aggregate")
+        if (s.name == gfs::phase::kCpuVerify) verify_sum += s.duration();
+        if (s.name == gfs::phase::kCpuVerify || s.name == gfs::phase::kCpuAggregate)
             verify_total += s.duration();
     }
     structure.observe(spans);

@@ -33,7 +33,7 @@ std::uint32_t ChunkServer::pick_bank(std::uint64_t request_id) const {
 namespace {
 /// Span helpers tolerating a null tracer.
 trace::SpanId begin_span(trace::SpanTracer* t, std::uint64_t trace_id,
-                         trace::SpanId parent, const char* name, double now) {
+                         trace::SpanId parent, trace::PhaseName name, double now) {
     return t != nullptr ? t->start_span(trace_id, parent, name, now) : 0;
 }
 void finish_span(trace::SpanTracer* t, trace::SpanId s, double now) {

@@ -31,18 +31,19 @@ namespace kooza::gfs {
 
 class AdmissionController;
 
-/// Canonical phase names (shared with the KOOZA structure queue).
+/// Canonical phase names (shared with the KOOZA structure queue),
+/// interned once so the span hot path never hashes a string.
 namespace phase {
-inline constexpr const char* kNetRx = "net.rx";
-inline constexpr const char* kCpuVerify = "cpu.verify";
-inline constexpr const char* kMemBuffer = "mem.buffer";
-inline constexpr const char* kDiskIo = "disk.io";
-inline constexpr const char* kReplForward = "repl.forward";
-inline constexpr const char* kCpuAggregate = "cpu.aggregate";
-inline constexpr const char* kNetTx = "net.tx";
-inline constexpr const char* kMasterLookup = "master.lookup";
-inline constexpr const char* kFailover = "failover";
-inline constexpr const char* kRequest = "request";
+inline const trace::PhaseName kNetRx{"net.rx"};
+inline const trace::PhaseName kCpuVerify{"cpu.verify"};
+inline const trace::PhaseName kMemBuffer{"mem.buffer"};
+inline const trace::PhaseName kDiskIo{"disk.io"};
+inline const trace::PhaseName kReplForward{"repl.forward"};
+inline const trace::PhaseName kCpuAggregate{"cpu.aggregate"};
+inline const trace::PhaseName kNetTx{"net.tx"};
+inline const trace::PhaseName kMasterLookup{"master.lookup"};
+inline const trace::PhaseName kFailover{"failover"};
+inline const trace::PhaseName kRequest{"request"};
 }  // namespace phase
 
 class ChunkServer {

@@ -11,7 +11,7 @@ namespace kooza::gfs {
 
 namespace {
 trace::SpanId begin_span(trace::SpanTracer* t, std::uint64_t trace_id,
-                         trace::SpanId parent, const char* name, double now) {
+                         trace::SpanId parent, trace::PhaseName name, double now) {
     return t != nullptr ? t->start_span(trace_id, parent, name, now) : 0;
 }
 void finish_span(trace::SpanTracer* t, trace::SpanId s, double now) {

@@ -100,10 +100,6 @@ void put(std::vector<std::uint8_t>& b, T v) {
     std::memcpy(b.data() + old, &v, sizeof(T));
 }
 
-void put_f64(std::vector<std::uint8_t>& b, double v) {
-    put(b, std::bit_cast<std::uint64_t>(v));
-}
-
 /// Append one column for a whole record batch: a single resize, then a
 /// tight fixed-stride store loop — the struct-of-arrays split that
 /// replaces the old per-record, per-field push_back walk. `get` projects
@@ -153,7 +149,7 @@ struct FileView {
     std::size_t pos = 0;
 
     void need(std::size_t n, const char* what) const {
-        if (pos + n > data.size())
+        if (n > data.size() - pos)
             bad_file(path, std::string("truncated file (") + what + ")");
     }
     template <typename T>
@@ -170,6 +166,9 @@ struct FileView {
         const auto len = take<std::uint64_t>();
         if (expected_len != std::size_t(-1) && len != expected_len)
             bad_file(path, std::string(what) + ": unexpected section length");
+        // Compared before adding, so a hostile length cannot wrap.
+        if (len > data.size() - pos)
+            bad_file(path, std::string("truncated file (") + what + ")");
         need(std::size_t(len) + 4, what);
         const auto off = pos;
         pos += std::size_t(len);
@@ -247,9 +246,22 @@ struct Columns {
     }
 };
 
+/// Reject a header count whose column bytes could not fit in the file,
+/// before any count * width product is formed: a hostile count would
+/// otherwise wrap that product to a small, "valid" section length.
+void check_count(const fs::path& p, const StreamSchema& s, std::uint64_t count,
+                 std::uint64_t file_bytes) {
+    std::uint64_t row_bytes = 0;
+    for (const Col c : s.cols) row_bytes += width(c);
+    if (count > file_bytes / row_bytes)
+        bad_file(p, "record count " + std::to_string(count) +
+                        " exceeds the file size");
+}
+
 Columns load_stream(const fs::path& dir, const StreamSchema& s) {
     Columns c{load_file(dir / (std::string(s.stem) + ".bin")), 0, {}};
     c.count = read_header(c.view, s);
+    check_count(c.view.path, s, c.count, c.view.data.size());
     c.offsets.reserve(s.cols.size());
     for (std::size_t i = 0; i < s.cols.size(); ++i)
         c.offsets.push_back(c.view.take_section(
@@ -258,32 +270,47 @@ Columns load_stream(const fs::path& dir, const StreamSchema& s) {
     return c;
 }
 
-/// The spans string table: the final section of spans.bin.
-std::vector<std::string> load_string_table(Columns& c) {
-    const auto off = c.view.take_section("string table", std::size_t(-1));
-    const auto end = c.view.pos - 4;  // section payload ends before its crc
-    std::size_t p = off;
+/// Parse the spans string table payload (u32 count, then u32 length +
+/// bytes per name) and intern each name once. The count is bounded by
+/// the payload before anything is reserved: every entry needs at least
+/// its 4-byte length.
+std::vector<PhaseName> parse_string_table(const std::uint8_t* data, std::size_t len,
+                                          const fs::path& path) {
+    std::size_t p = 0;
     auto need = [&](std::size_t n) {
-        if (p + n > end) bad_file(c.view.path, "string table truncated");
+        if (n > len - p) bad_file(path, "string table truncated");
     };
     need(4);
     std::uint32_t n;
-    std::memcpy(&n, c.view.data.data() + p, 4);
+    std::memcpy(&n, data, 4);
     p += 4;
-    std::vector<std::string> names;
+    if (n > (len - p) / 4)
+        bad_file(path, "string table count " + std::to_string(n) +
+                           " exceeds its section");
+    if (n > PhaseName::kCapacity)
+        bad_file(path, "string table count " + std::to_string(n) +
+                           " exceeds the phase-name capacity");
+    std::vector<PhaseName> names;
     names.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         need(4);
-        std::uint32_t len;
-        std::memcpy(&len, c.view.data.data() + p, 4);
+        std::uint32_t name_len;
+        std::memcpy(&name_len, data + p, 4);
         p += 4;
-        need(len);
-        names.emplace_back(reinterpret_cast<const char*>(c.view.data.data() + p),
-                           len);
-        p += len;
+        need(name_len);
+        names.emplace_back(
+            std::string_view(reinterpret_cast<const char*>(data + p), name_len));
+        p += name_len;
     }
-    if (p != end) bad_file(c.view.path, "string table has trailing bytes");
+    if (p != len) bad_file(path, "string table has trailing bytes");
     return names;
+}
+
+/// The spans string table: the final section of spans.bin.
+std::vector<PhaseName> load_string_table(Columns& c) {
+    const auto off = c.view.take_section("string table", std::size_t(-1));
+    const auto end = c.view.pos - 4;  // section payload ends before its crc
+    return parse_string_table(c.view.data.data() + off, end - off, c.view.path);
 }
 
 }  // namespace
@@ -419,24 +446,7 @@ void BinaryWriter::append(const TraceSet& chunk) {
                     [](const auto& r) { return f64_bits(r.duration); });
         st[5].count += rs.size();
     }
-    if (!chunk.spans.empty()) {
-        // Spans resolve names through the dedup table, so the name column
-        // is record-at-a-time; the numeric columns still batch.
-        const auto& rs = chunk.spans;
-        pack_column(col(6, 0), rs, [](const auto& r) { return r.trace_id; });
-        pack_column(col(6, 1), rs, [](const auto& r) { return r.span_id; });
-        pack_column(col(6, 2), rs, [](const auto& r) { return r.parent_id; });
-        for (const auto& sp : rs) {
-            auto [it, inserted] =
-                name_ix_.try_emplace(sp.name, std::uint32_t(names_.size()));
-            if (inserted) names_.push_back(sp.name);
-            put(col(6, 3), it->second);
-        }
-        pack_column(col(6, 4), rs,
-                    [](const auto& r) { return f64_bits(r.start); });
-        pack_column(col(6, 5), rs, [](const auto& r) { return f64_bits(r.end); });
-        st[6].count += rs.size();
-    }
+    append_spans(chunk.spans);
     records_ += chunk.total_records();
     maybe_spill();
 }
@@ -455,22 +465,34 @@ void BinaryWriter::append(const ColumnChunk& chunk) {
         }
         dst.count += src.count;
     }
-    // Spans re-encode through the string table, same as the TraceSet path.
-    auto& sp_stream = streams_[6];
-    for (const auto& sp : chunk.spans_) {
-        put(sp_stream.columns[0].bytes, sp.trace_id);
-        put(sp_stream.columns[1].bytes, sp.span_id);
-        put(sp_stream.columns[2].bytes, sp.parent_id);
-        auto [it, inserted] =
-            name_ix_.try_emplace(sp.name, std::uint32_t(names_.size()));
-        if (inserted) names_.push_back(sp.name);
-        put(sp_stream.columns[3].bytes, it->second);
-        put_f64(sp_stream.columns[4].bytes, sp.start);
-        put_f64(sp_stream.columns[5].bytes, sp.end);
-        ++sp_stream.count;
-    }
+    // Spans encode their name column through this writer's string table.
+    append_spans(chunk.spans_);
     records_ += chunk.records();
     maybe_spill();
+}
+
+void BinaryWriter::append_spans(const std::vector<Span>& rs) {
+    if (rs.empty()) return;
+    auto& st = streams_[6];
+    auto col = [&](std::size_t ix) -> auto& { return st.columns[ix].bytes; };
+    pack_column(col(0), rs, [](const Span& r) { return r.trace_id; });
+    pack_column(col(1), rs, [](const Span& r) { return r.span_id; });
+    pack_column(col(2), rs, [](const Span& r) { return r.parent_id; });
+    pack_column(col(3), rs, [&](const Span& r) { return name_index(r.name); });
+    pack_column(col(4), rs, [](const Span& r) { return f64_bits(r.start); });
+    pack_column(col(5), rs, [](const Span& r) { return f64_bits(r.end); });
+    st.count += rs.size();
+}
+
+std::uint32_t BinaryWriter::name_index(PhaseName name) {
+    constexpr auto kUnseen = ~std::uint32_t{0};
+    if (name.id() >= name_ix_.size()) name_ix_.resize(name.id() + 1, kUnseen);
+    auto& ix = name_ix_[name.id()];
+    if (ix == kUnseen) {
+        ix = std::uint32_t(names_.size());
+        names_.push_back(name);
+    }
+    return ix;
 }
 
 void BinaryWriter::maybe_spill() {
@@ -568,7 +590,8 @@ void BinaryWriter::write_stream_file(std::size_t stream_id) {
     if (schema.id == 6) {
         std::vector<std::uint8_t> tab;
         put(tab, std::uint32_t(names_.size()));
-        for (const auto& n : names_) {
+        for (const PhaseName name : names_) {
+            const std::string& n = name.str();
             put(tab, std::uint32_t(n.size()));
             tab.insert(tab.end(), n.begin(), n.end());
         }
@@ -745,6 +768,8 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
         if (take64() != schema_hash(s.spec))
             bad_file(sf.path, "schema hash mismatch");
         sf.count = take64();
+        const std::uint64_t file_bytes = fs::file_size(sf.path);
+        check_count(sf.path, s, sf.count, file_bytes);
 
         // Walk the sections once, CRC-checking each payload through the
         // bounded buffer and remembering where it starts.
@@ -761,6 +786,9 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
                 bad_file(sf.path,
                          std::string(what) + ": unexpected section length");
             off += 8;
+            if (len > file_bytes - off)
+                bad_file(sf.path,
+                         std::string("truncated file (") + what + ")");
             const std::uint64_t payload = off;
             if (capture) capture->reserve(std::size_t(len));
             std::uint32_t crc = 0;
@@ -797,28 +825,7 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             // names, so it is safe to hold in memory.
             std::vector<std::uint8_t> tab;
             check_section(kAnyLen, "string table", &tab);
-            std::size_t p = 0;
-            auto need = [&](std::size_t n) {
-                if (p + n > tab.size())
-                    bad_file(sf.path, "string table truncated");
-            };
-            need(4);
-            std::uint32_t n;
-            std::memcpy(&n, tab.data(), 4);
-            p += 4;
-            names_.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i) {
-                need(4);
-                std::uint32_t len;
-                std::memcpy(&len, tab.data() + p, 4);
-                p += 4;
-                need(len);
-                names_.emplace_back(
-                    reinterpret_cast<const char*>(tab.data() + p), len);
-                p += len;
-            }
-            if (p != tab.size())
-                bad_file(sf.path, "string table has trailing bytes");
+            names_ = parse_string_table(tab.data(), tab.size(), sf.path);
         }
     }
 }
@@ -930,7 +937,7 @@ void ChunkedReader::read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                 sp.name = names_[ix];
                 sp.start = f64(4, i);
                 sp.end = f64(5, i);
-                out.spans.push_back(std::move(sp));
+                out.spans.push_back(sp);
             }
             break;
     }

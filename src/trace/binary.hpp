@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -98,6 +97,10 @@ private:
         std::uint64_t count = 0;
     };
 
+    /// Pack a span batch; names go through the string table.
+    void append_spans(const std::vector<Span>& rs);
+    /// String-table index of `name`, appending it on first appearance.
+    std::uint32_t name_index(PhaseName name);
     void maybe_spill();
     void spill_column(std::size_t stream_id, std::size_t col_ix);
     void write_stream_file(std::size_t stream_id);
@@ -105,8 +108,8 @@ private:
     std::filesystem::path dir_;
     std::size_t spill_buffer_bytes_ = 0;
     std::vector<Stream> streams_;                  ///< indexed by stream id
-    std::vector<std::string> names_;               ///< span-name string table
-    std::map<std::string, std::uint32_t> name_ix_; ///< dedup index into names_
+    std::vector<PhaseName> names_;         ///< span-name string table
+    std::vector<std::uint32_t> name_ix_;   ///< phase id -> index into names_
     std::uint64_t records_ = 0;
     bool finished_ = false;
 };
@@ -157,7 +160,7 @@ private:
 
     std::filesystem::path dir_;
     std::vector<StreamFile> files_;     ///< indexed by stream id
-    std::vector<std::string> names_;    ///< spans string table
+    std::vector<PhaseName> names_;      ///< spans string table
 };
 
 }  // namespace kooza::trace

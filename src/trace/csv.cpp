@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 
@@ -181,11 +182,11 @@ void write_csv(const TraceSet& ts, const fs::path& dir) {
             // would silently shift every following field on read-back.
             // Reject at the source; kooza.trace/1 (binary.hpp) stores
             // names in a string table and takes arbitrary bytes.
-            if (s.name.find_first_of(",\r\n") != std::string::npos)
+            if (s.name.str().find_first_of(",\r\n") != std::string::npos)
                 throw std::runtime_error(
                     "write_csv: span name contains ',' or a line break "
                     "(unrepresentable in spans.csv, use --format=bin): '" +
-                    s.name + "'");
+                    s.name.str() + "'");
             f << s.trace_id << ',' << s.span_id << ',' << s.parent_id << ','
               << s.name << ',' << s.start << ',' << s.end << '\n';
         }
@@ -287,13 +288,17 @@ TraceSet read_csv(const fs::path& dir) {
     {
         Reader r(dir / "spans.csv");
         std::vector<std::string> f;
+        // Each distinct name is interned once; later rows copy its id.
+        std::unordered_map<std::string, PhaseName> names;
         while (r.next(f)) {
             expect_fields(r, f, 6);
             Span s;
             s.trace_id = r.id(f[0], "trace_id");
             s.span_id = r.id(f[1], "span_id");
             s.parent_id = r.id(f[2], "parent_id");
-            s.name = f[3];
+            auto it = names.find(f[3]);
+            if (it == names.end()) it = names.emplace(f[3], PhaseName(f[3])).first;
+            s.name = it->second;
             s.start = r.num(f[4], "start");
             s.end = r.num(f[5], "end");
             ts.spans.push_back(s);

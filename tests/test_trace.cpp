@@ -39,7 +39,8 @@ TEST(SpanTracer, RecordsWhenSampled) {
     t.end_span(root, 0.3);
     ASSERT_EQ(t.spans().size(), 2u);
     EXPECT_EQ(t.spans()[0].name, "disk.io");
-    EXPECT_EQ(t.spans()[0].annotations.size(), 1u);
+    ASSERT_EQ(t.annotations().size(), 1u);
+    EXPECT_EQ(t.annotations()[0].span_id, child);
     EXPECT_DOUBLE_EQ(t.spans()[1].duration(), 0.3);
 }
 

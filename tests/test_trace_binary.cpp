@@ -4,13 +4,20 @@
 // chunked-append byte-identity, and format auto-detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "par/pool.hpp"
 #include "sim/rng.hpp"
 #include "trace/binary.hpp"
 #include "trace/csv.hpp"
@@ -366,6 +373,146 @@ TEST(Binary, Crc32KnownVectors) {
     // CRC-32/ISO-HDLC check value: crc32("123456789") == 0xCBF43926.
     EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
     EXPECT_EQ(crc32("", 0), 0u);
+}
+
+/// Overwrite a file with `bytes`.
+void spit(const fs::path& p, const std::vector<std::uint8_t>& bytes) {
+    std::ofstream f(p, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()), std::streamsize(bytes.size()));
+}
+
+template <typename T>
+void poke(std::vector<std::uint8_t>& b, std::size_t off, T v) {
+    std::memcpy(b.data() + off, &v, sizeof(T));
+}
+
+/// Both readers must reject `dir` with their typed error.
+void expect_both_readers_reject(const fs::path& dir, const char* why) {
+    for (int reader = 0; reader < 2; ++reader) {
+        SCOPED_TRACE(reader == 0 ? "read_binary" : "ChunkedReader");
+        try {
+            if (reader == 0)
+                (void)read_binary(dir);
+            else
+                ChunkedReader r(dir);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::runtime_error& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("read_binary: "), std::string::npos) << msg;
+            EXPECT_NE(msg.find(why), std::string::npos) << msg;
+        }
+    }
+}
+
+constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;  // before the header CRC
+
+TEST(Binary, HostileStringTableCountRejected) {
+    // An empty spans.bin: header, six empty column sections, then the
+    // string table section holding only its u32 count. Claim 2^32 - 1
+    // names and refit the section CRC: the count must be checked against
+    // the payload before anything is reserved for it.
+    const auto dir = fresh_dir("kooza_bin_strtab_count");
+    write_binary(TraceSet{}, dir);
+    const auto p = dir / "spans.bin";
+    auto bytes = slurp(p);
+    const std::size_t table = kHeaderBytes + 4 + 6 * (8 + 4);
+    ASSERT_EQ(bytes.size(), table + 8 + 4 + 4);
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + table, 8);
+    ASSERT_EQ(len, 4u);
+    poke(bytes, table + 8, std::uint32_t{0xFFFFFFFF});
+    poke(bytes, table + 8 + 4, crc32(bytes.data() + table + 8, 4));
+    spit(p, bytes);
+    expect_both_readers_reject(dir, "string table count");
+    fs::remove_all(dir);
+}
+
+TEST(Binary, RecordCountOverflowRejected) {
+    // cpu.bin has four 8-byte columns. With a header count of 2^61 each
+    // column's count * 8 wraps to 0, which the four empty sections match;
+    // the count must be rejected before it is multiplied.
+    const auto dir = fresh_dir("kooza_bin_count_wrap");
+    write_binary(TraceSet{}, dir);
+    const auto p = dir / "cpu.bin";
+    auto bytes = slurp(p);
+    ASSERT_EQ(bytes.size(), kHeaderBytes + 4 + 4 * (8 + 4));
+    poke(bytes, kHeaderBytes - 8, std::uint64_t{1} << 61);
+    poke(bytes, kHeaderBytes, crc32(bytes.data(), kHeaderBytes));
+    spit(p, bytes);
+    expect_both_readers_reject(dir, "record count");
+    fs::remove_all(dir);
+}
+
+TEST(Binary, HostileSectionLengthRejected) {
+    // A column section claiming 2^64 - 8 bytes: the reader must not add
+    // to it (the sum wraps) or reserve it, only report truncation.
+    const auto dir = fresh_dir("kooza_bin_section_len");
+    write_binary(TraceSet{}, dir);
+    const auto p = dir / "spans.bin";
+    auto bytes = slurp(p);
+    const std::size_t table = kHeaderBytes + 4 + 6 * (8 + 4);
+    poke(bytes, table, ~std::uint64_t{0} - 7);
+    spit(p, bytes);
+    expect_both_readers_reject(dir, "truncated file (string table)");
+    fs::remove_all(dir);
+}
+
+TEST(PhaseName, DefaultIsEmptyAndStringsRoundTrip) {
+    EXPECT_EQ(PhaseName().id(), 0u);
+    EXPECT_EQ(PhaseName(""), PhaseName());
+    EXPECT_EQ(PhaseName().str(), "");
+    const PhaseName a("phase.roundtrip");
+    EXPECT_EQ(a, PhaseName(std::string("phase.roundtrip")));
+    EXPECT_EQ(a.str(), "phase.roundtrip");
+    EXPECT_EQ(a, "phase.roundtrip");
+    EXPECT_NE(a, PhaseName("phase.other"));
+    EXPECT_EQ(&a.str(), &PhaseName::table().str(a.id()));
+}
+
+TEST(PhaseName, ConcurrentInterningAgrees) {
+    // Four lanes intern overlapping name sets, each in its own order,
+    // and read every id back (lock-free) while the others still intern.
+    constexpr std::size_t kLanes = 4, kPerLane = 400, kStride = 200;
+    par::ThreadPool pool(kLanes);
+    std::vector<std::vector<std::pair<std::string, std::uint32_t>>> got(kLanes);
+    pool.parallel_for(kLanes, [&](std::size_t lane) {
+        std::mt19937_64 rng(lane + 1);
+        std::vector<std::size_t> order(kPerLane);
+        for (std::size_t i = 0; i < kPerLane; ++i) order[i] = lane * kStride + i;
+        std::shuffle(order.begin(), order.end(), rng);
+        for (const auto k : order) {
+            const std::string name = "concurrent.phase." + std::to_string(k);
+            const PhaseName p(name);
+            EXPECT_EQ(p.str(), name);
+            got[lane].emplace_back(name, p.id());
+        }
+        for (const auto& [name, id] : got[lane])
+            EXPECT_EQ(PhaseName::table().str(id), name);
+    });
+    std::map<std::string, std::uint32_t> ids;
+    for (const auto& lane : got)
+        for (const auto& [name, id] : lane) {
+            const auto [it, added] = ids.emplace(name, id);
+            EXPECT_EQ(it->second, id) << name;
+            EXPECT_EQ(PhaseName(name).id(), id) << name;
+        }
+    EXPECT_EQ(ids.size(), (kLanes - 1) * kStride + kPerLane);
+    std::set<std::uint32_t> distinct;
+    for (const auto& [name, id] : ids) distinct.insert(id);
+    EXPECT_EQ(distinct.size(), ids.size());
+}
+
+TEST(NameTable, InterningPastCapacityThrows) {
+    NameTable t(4);  // "" holds id 0
+    EXPECT_EQ(t.intern("a"), 1u);
+    EXPECT_EQ(t.intern("b"), 2u);
+    EXPECT_EQ(t.intern("c"), 3u);
+    EXPECT_THROW((void)t.intern("d"), NameTableFull);
+    EXPECT_EQ(t.intern("b"), 2u);  // known names still resolve
+    EXPECT_EQ(t.intern(""), 0u);
+    EXPECT_EQ(t.size(), 4u);
+    EXPECT_EQ(t.str(3), "c");
+    EXPECT_THROW(NameTable(0), std::invalid_argument);
 }
 
 }  // namespace

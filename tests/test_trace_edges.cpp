@@ -4,6 +4,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "trace/binary.hpp"
@@ -66,8 +72,208 @@ TEST(SpanEdges, AnnotationsSurviveCollection) {
     t.annotate(s, 0.5, "midpoint");
     t.annotate(s, 0.9, "late");
     t.end_span(s, 1.0);
-    ASSERT_EQ(t.spans()[0].annotations.size(), 2u);
-    EXPECT_EQ(t.spans()[0].annotations[1].message, "late");
+    ASSERT_EQ(t.annotations().size(), 2u);
+    EXPECT_EQ(t.annotations()[1].span_id, s);
+    EXPECT_EQ(t.annotations()[1].time, 0.9);
+    EXPECT_EQ(t.annotations()[1].message, "late");
+}
+
+/// The map-based SpanTracer that the flat window replaced, kept verbatim
+/// as the reference except for its sink and per-phase histogram hooks,
+/// which the comparison below does not observe.
+class MapTracer {
+public:
+    struct RefAnnotation {
+        double time = 0.0;
+        std::string message;
+    };
+    struct RefSpan {
+        TraceId trace_id = 0;
+        SpanId span_id = 0;
+        SpanId parent_id = 0;
+        std::string name;
+        double start = 0.0;
+        double end = 0.0;
+        std::vector<RefAnnotation> annotations;
+    };
+
+    explicit MapTracer(std::uint64_t sample_every) : every_(sample_every) {}
+
+    bool sampled(TraceId trace) const noexcept { return trace % every_ == 0; }
+
+    SpanId start_span(TraceId trace, SpanId parent, std::string name, double now) {
+        ++ops_req_;
+        if (!sampled(trace)) return 0;
+        ++ops_rec_;
+        const SpanId id = next_id_++;
+        RefSpan s;
+        s.trace_id = trace;
+        s.span_id = id;
+        s.parent_id = parent;
+        s.name = std::move(name);
+        s.start = now;
+        s.end = now;
+        open_.emplace(id, std::move(s));
+        return id;
+    }
+
+    void annotate(SpanId span, double now, std::string message) {
+        ++ops_req_;
+        if (span == 0) return;
+        auto it = open_.find(span);
+        if (it == open_.end()) throw std::logic_error("SpanTracer::annotate: unknown span");
+        ++ops_rec_;
+        it->second.annotations.push_back(RefAnnotation{now, std::move(message)});
+    }
+
+    void end_span(SpanId span, double now) {
+        ++ops_req_;
+        if (span == 0) return;
+        auto it = open_.find(span);
+        if (it == open_.end()) throw std::logic_error("SpanTracer::end_span: unknown span");
+        ++ops_rec_;
+        it->second.end = now;
+        done_.push_back(std::move(it->second));
+        open_.erase(it);
+    }
+
+    const std::vector<RefSpan>& spans() const noexcept { return done_; }
+    std::uint64_t operations_requested() const noexcept { return ops_req_; }
+    std::uint64_t operations_recorded() const noexcept { return ops_rec_; }
+
+private:
+    std::uint64_t every_;
+    SpanId next_id_ = 1;
+    std::map<SpanId, RefSpan> open_;
+    std::vector<RefSpan> done_;
+    std::uint64_t ops_req_ = 0;
+    std::uint64_t ops_rec_ = 0;
+};
+
+/// Drive both tracers with one seeded random operation sequence: a
+/// long-lived root per run with many children, spans closed in random
+/// order, unsampled (0) handles, and double / unknown handles below the
+/// live window and at or above the next id. Every call must agree: the
+/// same handle, the same throw, the same spans and annotations.
+void run_against_reference(std::uint64_t seed, std::uint64_t sample_every,
+                           std::size_t steps) {
+    std::mt19937_64 rng(seed);
+    const char* const names[] = {"request", "net.rx", "cpu.verify", "disk.io",
+                                 "mem.buffer", "net.tx"};
+    SpanTracer flat(sample_every);
+    MapTracer ref(sample_every);
+    std::vector<SpanId> open;    // sampled handles still open
+    std::vector<SpanId> closed;  // sampled handles already closed
+    SpanId next = 1;             // the id the next sampled span gets
+    double now = 0.0;
+    auto pick = [&](std::vector<SpanId>& v) {
+        const auto i = std::size_t(rng() % v.size());
+        const SpanId id = v[i];
+        v[i] = v.back();
+        v.pop_back();
+        return id;
+    };
+    auto start = [&](TraceId trace, SpanId parent) {
+        const char* name = names[rng() % std::size(names)];
+        const SpanId a = flat.start_span(trace, parent, name, now);
+        const SpanId b = ref.start_span(trace, parent, name, now);
+        EXPECT_EQ(a, b);
+        if (a != 0) {
+            EXPECT_EQ(a, next);
+            ++next;
+            open.push_back(a);
+        }
+        return a;
+    };
+    auto expect_unknown = [&](SpanId id) {
+        EXPECT_THROW(flat.end_span(id, now), std::logic_error) << id;
+        EXPECT_THROW(ref.end_span(id, now), std::logic_error) << id;
+        EXPECT_THROW(flat.annotate(id, now, "x"), std::logic_error) << id;
+        EXPECT_THROW(ref.annotate(id, now, "x"), std::logic_error) << id;
+    };
+
+    // The long-lived root: sampled, open for the whole run.
+    const SpanId root = start(0, 0);
+    ASSERT_NE(root, 0u);
+    open.pop_back();
+    for (std::size_t step = 0; step < steps; ++step) {
+        now += double(rng() % 1000) * 1e-6;
+        const auto op = rng() % 10;
+        if (op < 4) {
+            // A child of the root or of a random open span, on a trace
+            // that may be sampled out.
+            const TraceId trace = rng() % 64;
+            const SpanId parent =
+                open.empty() || rng() % 2 == 0 ? root : open[rng() % open.size()];
+            start(trace, parent);
+        } else if (op < 7 && !open.empty()) {
+            const SpanId id = pick(open);
+            flat.end_span(id, now);
+            ref.end_span(id, now);
+            closed.push_back(id);
+        } else if (op == 7 && !open.empty()) {
+            const SpanId id = open[rng() % open.size()];
+            const std::string msg = "note" + std::to_string(step);
+            flat.annotate(id, now, msg);
+            ref.annotate(id, now, msg);
+        } else if (op == 8) {
+            // Unsampled handle: a no-op that still counts as requested.
+            flat.end_span(0, now);
+            ref.end_span(0, now);
+            flat.annotate(0, now, "dropped");
+            ref.annotate(0, now, "dropped");
+        } else if (!closed.empty()) {
+            // Double end_span of a closed span (below or inside the window).
+            expect_unknown(closed[rng() % closed.size()]);
+        }
+    }
+    expect_unknown(next);         // the next id, not yet handed out
+    expect_unknown(next + 1000);  // far above it
+    while (!open.empty()) {
+        const SpanId id = pick(open);
+        flat.end_span(id, now);
+        ref.end_span(id, now);
+    }
+    flat.end_span(root, now);
+    ref.end_span(root, now);
+    expect_unknown(root);  // id 1: below the window, which is now empty
+    expect_unknown(next - 1);
+
+    EXPECT_EQ(flat.operations_requested(), ref.operations_requested());
+    EXPECT_EQ(flat.operations_recorded(), ref.operations_recorded());
+    ASSERT_EQ(flat.spans().size(), ref.spans().size());
+    std::size_t notes = 0;
+    for (std::size_t i = 0; i < ref.spans().size(); ++i) {
+        const Span& a = flat.spans()[i];
+        const auto& b = ref.spans()[i];
+        EXPECT_EQ(a.trace_id, b.trace_id) << i;
+        EXPECT_EQ(a.span_id, b.span_id) << i;
+        EXPECT_EQ(a.parent_id, b.parent_id) << i;
+        EXPECT_EQ(a.name, b.name) << i;
+        EXPECT_EQ(a.start, b.start) << i;
+        EXPECT_EQ(a.end, b.end) << i;
+        // The span's annotations, in call order, among the tracer's.
+        std::size_t k = 0;
+        for (const auto& n : flat.annotations()) {
+            if (n.span_id != a.span_id) continue;
+            ASSERT_LT(k, b.annotations.size()) << i;
+            EXPECT_EQ(n.time, b.annotations[k].time) << i;
+            EXPECT_EQ(n.message, b.annotations[k].message) << i;
+            ++k;
+        }
+        EXPECT_EQ(k, b.annotations.size()) << i;
+        notes += k;
+    }
+    EXPECT_EQ(notes, flat.annotations().size());
+}
+
+TEST(SpanTracer, FlatWindowMatchesMapReference) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        for (const std::uint64_t every : {1u, 3u}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " sample_every " +
+                         std::to_string(every));
+            run_against_reference(seed, every, 3000);
+        }
 }
 
 TEST(CsvEdges, EmptyTraceSetRoundTrips) {
