@@ -19,7 +19,6 @@
 #include "core/replayer.hpp"
 #include "core/trainer.hpp"
 #include "gfs/cluster.hpp"
-#include "hw/power.hpp"
 #include "stats/descriptive.hpp"
 #include "workloads/profiles.hpp"
 
@@ -34,19 +33,10 @@ struct Candidate {
 
 void report(const std::string& name, const core::ReplayResult& res) {
     const auto s = stats::summarize(res.latencies);
-    // Power/energy estimate from the replay's mean utilizations — the
-    // paper's Section 5 "performance and power model" use case.
-    hw::PowerModel power;
-    const double watts =
-        power.power(res.mean_cpu_utilization, res.mean_disk_utilization);
-    const double joules = power.energy(res.duration, res.mean_cpu_utilization,
-                                       res.mean_disk_utilization);
     std::cout << "  " << std::left << std::setw(28) << name << " mean "
               << std::setw(10) << (std::to_string(s.mean * 1e3) + " ms").substr(0, 9)
               << " p99 " << std::setw(10)
-              << (std::to_string(s.p99 * 1e3) + " ms").substr(0, 9) << " power "
-              << std::setw(7) << (std::to_string(watts) + " W").substr(0, 6)
-              << " energy " << joules / 1e3 << " kJ\n";
+              << (std::to_string(s.p99 * 1e3) + " ms").substr(0, 9) << "\n";
 }
 
 }  // namespace
@@ -117,7 +107,7 @@ int main(int argc, char** argv) {
         candidates.push_back({"all upgrades", c});
     }
 
-    std::cout << "predicted latency / power per server configuration:\n";
+    std::cout << "predicted latency per server configuration:\n";
     for (const auto& cand : candidates) {
         core::Replayer replayer(cand.cfg);
         report(cand.name, replayer.replay(synthetic));

@@ -122,9 +122,15 @@ std::uint64_t f64_bits(double v) noexcept {
     return std::bit_cast<std::uint64_t>(v);
 }
 
-[[noreturn]] void bad_file(const fs::path& p, const std::string& why) {
+/// Reader names that prefix every rejection, so an error names the
+/// reader that met it.
+constexpr const char* kReadBinary = "read_binary";
+constexpr const char* kChunkedReader = "ChunkedReader";
+
+[[noreturn]] void bad_file(const char* reader, const fs::path& p,
+                           const std::string& why) {
     metrics().bad_files.add();
-    throw std::runtime_error("read_binary: " + p.string() + ": " + why);
+    throw std::runtime_error(std::string(reader) + ": " + p.string() + ": " + why);
 }
 
 /// Fixed-size serialized header: magic + version + stream id + schema
@@ -142,15 +148,187 @@ std::vector<std::uint8_t> make_header(const StreamSchema& s, std::uint64_t count
     return h;
 }
 
-/// Cursor over a fully-loaded stream file.
+template <typename T>
+T load(const std::uint8_t* p) {
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+}
+
+/// Validate a stream file's header and return its record count. `h`
+/// holds the first `avail` bytes of a file of `file_bytes` bytes. The
+/// count is bounded by the file size before any count * width product
+/// is formed: a hostile count would otherwise wrap that product to a
+/// small, "valid" section length.
+std::uint64_t check_header(const char* reader, const fs::path& p,
+                           const StreamSchema& s, const std::uint8_t* h,
+                           std::size_t avail, std::uint64_t file_bytes) {
+    if (avail < kHeaderBytes + 4) bad_file(reader, p, "truncated file (header)");
+    if (std::memcmp(h, kBinaryMagic, sizeof(kBinaryMagic)) != 0)
+        bad_file(reader, p, "bad magic (not a kooza.trace/1 file)");
+    if (crc32(h, kHeaderBytes) != load<std::uint32_t>(h + kHeaderBytes))
+        bad_file(reader, p, "header CRC32 mismatch");
+    // After the 8-byte magic: u32 version, u32 stream id, u64 schema
+    // hash, u64 record count.
+    if (const auto ver = load<std::uint32_t>(h + 8); ver != kBinaryVersion)
+        bad_file(reader, p, "unsupported version " + std::to_string(ver));
+    if (const auto id = load<std::uint32_t>(h + 12); id != s.id)
+        bad_file(reader, p, "stream id mismatch (file renamed?)");
+    if (load<std::uint64_t>(h + 16) != schema_hash(s.spec))
+        bad_file(reader, p, "schema hash mismatch");
+    const auto count = load<std::uint64_t>(h + 24);
+    std::uint64_t row_bytes = 0;
+    for (const Col c : s.cols) row_bytes += width(c);
+    if (count > file_bytes / row_bytes)
+        bad_file(reader, p, "record count " + std::to_string(count) +
+                                " exceeds the file size");
+    return count;
+}
+
+/// Parse the spans string table payload (u32 count, then u32 length +
+/// bytes per name) and intern each name once. The count is bounded by
+/// the payload before anything is reserved: every entry needs at least
+/// its 4-byte length.
+std::vector<PhaseName> parse_string_table(const char* reader,
+                                          const std::uint8_t* data,
+                                          std::size_t len, const fs::path& path) {
+    std::size_t p = 0;
+    auto need = [&](std::size_t n) {
+        if (n > len - p) bad_file(reader, path, "string table truncated");
+    };
+    need(4);
+    std::uint32_t n;
+    std::memcpy(&n, data, 4);
+    p += 4;
+    if (n > (len - p) / 4)
+        bad_file(reader, path, "string table count " + std::to_string(n) +
+                                   " exceeds its section");
+    if (n > PhaseName::kCapacity)
+        bad_file(reader, path, "string table count " + std::to_string(n) +
+                                   " exceeds the phase-name capacity");
+    std::vector<PhaseName> names;
+    names.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        need(4);
+        std::uint32_t name_len;
+        std::memcpy(&name_len, data + p, 4);
+        p += 4;
+        need(name_len);
+        names.emplace_back(
+            std::string_view(reinterpret_cast<const char*>(data + p), name_len));
+        p += name_len;
+    }
+    if (p != len) bad_file(reader, path, "string table has trailing bytes");
+    return names;
+}
+
+/// Where each column of one stream starts, at the first row to decode;
+/// the widest schema has six columns.
+using ColumnPtrs = std::array<const std::uint8_t*, 6>;
+
+/// Decode rows [begin, begin + n) of stream `s`, whose columns start at
+/// `col`, into a resized tail of the matching stream of `out`. An enum
+/// byte outside its range is corruption, not a default value (as in the
+/// CSV readers), and so is a span-name index past `names`; both name
+/// the absolute record. After a throw, `out` holds a partial tail.
+void decode_rows(const char* reader, const fs::path& path, StreamId s,
+                 const ColumnPtrs& col, std::uint64_t begin, std::size_t n,
+                 const std::vector<PhaseName>& names, TraceSet& out) {
+    auto u64 = [&](std::size_t c, std::size_t i) {
+        return load<std::uint64_t>(col[c] + i * 8);
+    };
+    auto u32 = [&](std::size_t c, std::size_t i) {
+        return load<std::uint32_t>(col[c] + i * 4);
+    };
+    auto f64 = [&](std::size_t c, std::size_t i) {
+        return std::bit_cast<double>(u64(c, i));
+    };
+    auto enum8 = [&](std::size_t c, std::size_t i, std::uint8_t max,
+                     const char* what) {
+        const auto v = col[c][i];
+        if (v > max)
+            bad_file(reader, path, "record " + std::to_string(begin + i) +
+                                       ": invalid " + what + " value " +
+                                       std::to_string(v));
+        return v;
+    };
+    auto tail = [n](auto& v) {
+        const auto base = v.size();
+        v.resize(base + n);
+        return v.data() + base;
+    };
+
+    switch (s) {
+        case StreamId::kStorage: {
+            auto* r = tail(out.storage);
+            for (std::size_t i = 0; i < n; ++i)
+                r[i] = {f64(0, i), u64(1, i), u64(2, i), u64(3, i),
+                        IoType(enum8(4, i, 1, "io type")), f64(5, i)};
+            break;
+        }
+        case StreamId::kCpu: {
+            auto* r = tail(out.cpu);
+            for (std::size_t i = 0; i < n; ++i)
+                r[i] = {f64(0, i), u64(1, i), f64(2, i), f64(3, i)};
+            break;
+        }
+        case StreamId::kMemory: {
+            auto* r = tail(out.memory);
+            for (std::size_t i = 0; i < n; ++i)
+                r[i] = {f64(0, i), u64(1, i), u32(2, i), u64(3, i),
+                        IoType(enum8(4, i, 1, "io type"))};
+            break;
+        }
+        case StreamId::kNetwork: {
+            auto* r = tail(out.network);
+            for (std::size_t i = 0; i < n; ++i)
+                r[i] = {f64(0, i), u64(1, i), u64(2, i),
+                        NetworkRecord::Direction(enum8(3, i, 1, "direction")),
+                        f64(4, i)};
+            break;
+        }
+        case StreamId::kRequests: {
+            auto* r = tail(out.requests);
+            for (std::size_t i = 0; i < n; ++i)
+                r[i] = {u64(0, i), IoType(enum8(1, i, 1, "io type")), f64(2, i),
+                        f64(3, i), u64(4, i)};
+            break;
+        }
+        case StreamId::kFailures: {
+            auto* r = tail(out.failures);
+            for (std::size_t i = 0; i < n; ++i)
+                r[i] = {f64(0, i), u64(1, i), u32(2, i),
+                        FailureRecord::Kind(enum8(3, i, 5, "failure kind")),
+                        f64(4, i)};
+            break;
+        }
+        case StreamId::kSpans: {
+            auto* r = tail(out.spans);
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto ix = u32(3, i);
+                if (ix >= names.size())
+                    bad_file(reader, path, "record " + std::to_string(begin + i) +
+                                               ": name index out of range");
+                r[i] = {u64(0, i), u64(1, i), u64(2, i), names[ix], f64(4, i),
+                        f64(5, i)};
+            }
+            break;
+        }
+    }
+    metrics().rows.add(n);
+}
+
+/// Cursor over a fully-loaded stream file (read_binary's I/O).
 struct FileView {
     fs::path path;
     std::vector<std::uint8_t> data;
     std::size_t pos = 0;
 
+    [[noreturn]] void bad(const std::string& why) const {
+        bad_file(kReadBinary, path, why);
+    }
     void need(std::size_t n, const char* what) const {
-        if (n > data.size() - pos)
-            bad_file(path, std::string("truncated file (") + what + ")");
+        if (n > data.size() - pos) bad(std::string("truncated file (") + what + ")");
     }
     template <typename T>
     T take() {
@@ -165,152 +343,32 @@ struct FileView {
         need(8, what);
         const auto len = take<std::uint64_t>();
         if (expected_len != std::size_t(-1) && len != expected_len)
-            bad_file(path, std::string(what) + ": unexpected section length");
+            bad(std::string(what) + ": unexpected section length");
         // Compared before adding, so a hostile length cannot wrap.
         if (len > data.size() - pos)
-            bad_file(path, std::string("truncated file (") + what + ")");
+            bad(std::string("truncated file (") + what + ")");
         need(std::size_t(len) + 4, what);
         const auto off = pos;
         pos += std::size_t(len);
         const auto stored = take<std::uint32_t>();
         if (crc32(data.data() + off, std::size_t(len)) != stored)
-            bad_file(path, std::string(what) + ": CRC32 mismatch (corrupt section)");
+            bad(std::string(what) + ": CRC32 mismatch (corrupt section)");
         return off;
     }
 };
 
 FileView load_file(const fs::path& p) {
     std::ifstream f(p, std::ios::binary);
-    if (!f) bad_file(p, "cannot open");
+    if (!f) bad_file(kReadBinary, p, "cannot open");
     FileView v{p, {}, 0};
     f.seekg(0, std::ios::end);
     v.data.resize(std::size_t(f.tellg()));
     f.seekg(0);
-    // One bulk read; columns are then loaded by pointer from the buffer.
+    // One bulk read; columns are then decoded by pointer from the buffer.
     f.read(reinterpret_cast<char*>(v.data.data()),
            std::streamsize(v.data.size()));
-    if (!f) bad_file(p, "short read");
+    if (!f) bad_file(kReadBinary, p, "short read");
     return v;
-}
-
-/// Validate header; returns the record count.
-std::uint64_t read_header(FileView& v, const StreamSchema& s) {
-    v.need(kHeaderBytes + 4, "header");
-    if (std::memcmp(v.data.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0)
-        bad_file(v.path, "bad magic (not a kooza.trace/1 file)");
-    const auto stored_crc = [&] {
-        std::uint32_t c;
-        std::memcpy(&c, v.data.data() + kHeaderBytes, 4);
-        return c;
-    }();
-    if (crc32(v.data.data(), kHeaderBytes) != stored_crc)
-        bad_file(v.path, "header CRC32 mismatch");
-    v.pos = sizeof(kBinaryMagic);
-    if (const auto ver = v.take<std::uint32_t>(); ver != kBinaryVersion)
-        bad_file(v.path, "unsupported version " + std::to_string(ver));
-    if (const auto id = v.take<std::uint32_t>(); id != s.id)
-        bad_file(v.path, "stream id mismatch (file renamed?)");
-    if (v.take<std::uint64_t>() != schema_hash(s.spec))
-        bad_file(v.path, "schema hash mismatch");
-    const auto count = v.take<std::uint64_t>();
-    v.pos += 4;  // header crc
-    return count;
-}
-
-/// Columns of one loaded stream: payload offsets in file order.
-struct Columns {
-    FileView view;
-    std::uint64_t count = 0;
-    std::vector<std::size_t> offsets;
-
-    template <typename T>
-    T get(std::size_t col, std::size_t row) const {
-        T v;
-        std::memcpy(&v, view.data.data() + offsets[col] + row * sizeof(T),
-                    sizeof(T));
-        return v;
-    }
-    double f64(std::size_t col, std::size_t row) const {
-        return std::bit_cast<double>(get<std::uint64_t>(col, row));
-    }
-    /// Enum columns mirror the CSV readers' strictness: a byte outside
-    /// the enum's range is corruption, not a default value.
-    std::uint8_t enum8(std::size_t col, std::size_t row, std::uint8_t max,
-                       const char* what) const {
-        const auto v = get<std::uint8_t>(col, row);
-        if (v > max)
-            bad_file(view.path, "record " + std::to_string(row) +
-                                    ": invalid " + what + " value " +
-                                    std::to_string(v));
-        return v;
-    }
-};
-
-/// Reject a header count whose column bytes could not fit in the file,
-/// before any count * width product is formed: a hostile count would
-/// otherwise wrap that product to a small, "valid" section length.
-void check_count(const fs::path& p, const StreamSchema& s, std::uint64_t count,
-                 std::uint64_t file_bytes) {
-    std::uint64_t row_bytes = 0;
-    for (const Col c : s.cols) row_bytes += width(c);
-    if (count > file_bytes / row_bytes)
-        bad_file(p, "record count " + std::to_string(count) +
-                        " exceeds the file size");
-}
-
-Columns load_stream(const fs::path& dir, const StreamSchema& s) {
-    Columns c{load_file(dir / (std::string(s.stem) + ".bin")), 0, {}};
-    c.count = read_header(c.view, s);
-    check_count(c.view.path, s, c.count, c.view.data.size());
-    c.offsets.reserve(s.cols.size());
-    for (std::size_t i = 0; i < s.cols.size(); ++i)
-        c.offsets.push_back(c.view.take_section(
-            "column", std::size_t(c.count) * width(s.cols[i])));
-    metrics().rows.add(c.count);
-    return c;
-}
-
-/// Parse the spans string table payload (u32 count, then u32 length +
-/// bytes per name) and intern each name once. The count is bounded by
-/// the payload before anything is reserved: every entry needs at least
-/// its 4-byte length.
-std::vector<PhaseName> parse_string_table(const std::uint8_t* data, std::size_t len,
-                                          const fs::path& path) {
-    std::size_t p = 0;
-    auto need = [&](std::size_t n) {
-        if (n > len - p) bad_file(path, "string table truncated");
-    };
-    need(4);
-    std::uint32_t n;
-    std::memcpy(&n, data, 4);
-    p += 4;
-    if (n > (len - p) / 4)
-        bad_file(path, "string table count " + std::to_string(n) +
-                           " exceeds its section");
-    if (n > PhaseName::kCapacity)
-        bad_file(path, "string table count " + std::to_string(n) +
-                           " exceeds the phase-name capacity");
-    std::vector<PhaseName> names;
-    names.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        need(4);
-        std::uint32_t name_len;
-        std::memcpy(&name_len, data + p, 4);
-        p += 4;
-        need(name_len);
-        names.emplace_back(
-            std::string_view(reinterpret_cast<const char*>(data + p), name_len));
-        p += name_len;
-    }
-    if (p != len) bad_file(path, "string table has trailing bytes");
-    return names;
-}
-
-/// The spans string table: the final section of spans.bin.
-std::vector<PhaseName> load_string_table(Columns& c) {
-    const auto off = c.view.take_section("string table", std::size_t(-1));
-    const auto end = c.view.pos - 4;  // section payload ends before its crc
-    return parse_string_table(c.view.data.data() + off, end - off, c.view.path);
 }
 
 }  // namespace
@@ -629,95 +687,24 @@ TraceSet read_binary(const std::filesystem::path& dir) {
     }
 
     TraceSet ts;
-    {
-        const auto c = load_stream(dir, schemas()[0]);
-        ts.storage.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.storage[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.lbn = c.get<std::uint64_t>(2, i);
-            r.size_bytes = c.get<std::uint64_t>(3, i);
-            r.type = IoType(c.enum8(4, i, 1, "io type"));
-            r.latency = c.f64(5, i);
+    std::vector<PhaseName> names;
+    for (const auto& s : schemas()) {
+        auto v = load_file(dir / (std::string(s.stem) + ".bin"));
+        const auto count = check_header(kReadBinary, v.path, s, v.data.data(),
+                                        v.data.size(), v.data.size());
+        v.pos = kHeaderBytes + 4;
+        ColumnPtrs col{};
+        for (std::size_t c = 0; c < s.cols.size(); ++c)
+            col[c] = v.data.data() +
+                     v.take_section("column", std::size_t(count) * width(s.cols[c]));
+        if (s.id == 6) {
+            const auto off = v.take_section("string table", std::size_t(-1));
+            // The payload ends before the section's crc.
+            names = parse_string_table(kReadBinary, v.data.data() + off,
+                                       v.pos - 4 - off, v.path);
         }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[1]);
-        ts.cpu.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.cpu[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.busy_seconds = c.f64(2, i);
-            r.utilization = c.f64(3, i);
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[2]);
-        ts.memory.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.memory[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.bank = c.get<std::uint32_t>(2, i);
-            r.size_bytes = c.get<std::uint64_t>(3, i);
-            r.type = IoType(c.enum8(4, i, 1, "io type"));
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[3]);
-        ts.network.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.network[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.size_bytes = c.get<std::uint64_t>(2, i);
-            r.direction = NetworkRecord::Direction(c.enum8(3, i, 1, "direction"));
-            r.latency = c.f64(4, i);
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[4]);
-        ts.requests.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.requests[i];
-            r.request_id = c.get<std::uint64_t>(0, i);
-            r.type = IoType(c.enum8(1, i, 1, "io type"));
-            r.arrival = c.f64(2, i);
-            r.completion = c.f64(3, i);
-            r.bytes = c.get<std::uint64_t>(4, i);
-        }
-    }
-    {
-        const auto c = load_stream(dir, schemas()[5]);
-        ts.failures.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& r = ts.failures[i];
-            r.time = c.f64(0, i);
-            r.request_id = c.get<std::uint64_t>(1, i);
-            r.server = c.get<std::uint32_t>(2, i);
-            r.kind = FailureRecord::Kind(c.enum8(3, i, 5, "failure kind"));
-            r.duration = c.f64(4, i);
-        }
-    }
-    {
-        auto c = load_stream(dir, schemas()[6]);
-        const auto names = load_string_table(c);
-        ts.spans.resize(c.count);
-        for (std::size_t i = 0; i < c.count; ++i) {
-            auto& sp = ts.spans[i];
-            sp.trace_id = c.get<std::uint64_t>(0, i);
-            sp.span_id = c.get<std::uint64_t>(1, i);
-            sp.parent_id = c.get<std::uint64_t>(2, i);
-            const auto ix = c.get<std::uint32_t>(3, i);
-            if (ix >= names.size())
-                bad_file(c.view.path, "record " + std::to_string(i) +
-                                          ": name index out of range");
-            sp.name = names[ix];
-            sp.start = c.f64(4, i);
-            sp.end = c.f64(5, i);
-        }
+        decode_rows(kReadBinary, v.path, StreamId(s.id), col, 0, std::size_t(count),
+                    names, ts);
     }
     return ts;
 }
@@ -734,42 +721,14 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
                                      sf.path.string() + " (partial capture?)");
         }
         sf.file.open(sf.path, std::ios::binary);
-        if (!sf.file) bad_file(sf.path, "cannot open");
+        if (!sf.file) bad_file(kChunkedReader, sf.path, "cannot open");
 
-        // Header, validated exactly as read_binary but from a small buffer.
         std::vector<std::uint8_t> h(kHeaderBytes + 4);
         sf.file.read(reinterpret_cast<char*>(h.data()),
                      std::streamsize(h.size()));
-        if (std::size_t(sf.file.gcount()) != h.size())
-            bad_file(sf.path, "truncated file (header)");
-        if (std::memcmp(h.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0)
-            bad_file(sf.path, "bad magic (not a kooza.trace/1 file)");
-        std::size_t pos = sizeof(kBinaryMagic);
-        auto take32 = [&] {
-            std::uint32_t v;
-            std::memcpy(&v, h.data() + pos, 4);
-            pos += 4;
-            return v;
-        };
-        auto take64 = [&] {
-            std::uint64_t v;
-            std::memcpy(&v, h.data() + pos, 8);
-            pos += 8;
-            return v;
-        };
-        std::uint32_t stored_hdr_crc;
-        std::memcpy(&stored_hdr_crc, h.data() + kHeaderBytes, 4);
-        if (crc32(h.data(), kHeaderBytes) != stored_hdr_crc)
-            bad_file(sf.path, "header CRC32 mismatch");
-        if (const auto ver = take32(); ver != kBinaryVersion)
-            bad_file(sf.path, "unsupported version " + std::to_string(ver));
-        if (const auto id = take32(); id != s.id)
-            bad_file(sf.path, "stream id mismatch (file renamed?)");
-        if (take64() != schema_hash(s.spec))
-            bad_file(sf.path, "schema hash mismatch");
-        sf.count = take64();
         const std::uint64_t file_bytes = fs::file_size(sf.path);
-        check_count(sf.path, s, sf.count, file_bytes);
+        sf.count = check_header(kChunkedReader, sf.path, s, h.data(),
+                                std::size_t(sf.file.gcount()), file_bytes);
 
         // Walk the sections once, CRC-checking each payload through the
         // bounded buffer and remembering where it starts.
@@ -780,14 +739,14 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             std::uint64_t len = 0;
             sf.file.read(reinterpret_cast<char*>(&len), 8);
             if (sf.file.gcount() != 8)
-                bad_file(sf.path,
+                bad_file(kChunkedReader, sf.path,
                          std::string("truncated file (") + what + ")");
             if (expected_len != kAnyLen && len != expected_len)
-                bad_file(sf.path,
+                bad_file(kChunkedReader, sf.path,
                          std::string(what) + ": unexpected section length");
             off += 8;
             if (len > file_bytes - off)
-                bad_file(sf.path,
+                bad_file(kChunkedReader, sf.path,
                          std::string("truncated file (") + what + ")");
             const std::uint64_t payload = off;
             if (capture) capture->reserve(std::size_t(len));
@@ -798,7 +757,7 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
                     std::size_t(std::min<std::uint64_t>(left, buf.size()));
                 sf.file.read(buf.data(), std::streamsize(take));
                 if (std::size_t(sf.file.gcount()) != take)
-                    bad_file(sf.path,
+                    bad_file(kChunkedReader, sf.path,
                              std::string("truncated file (") + what + ")");
                 crc = crc32(buf.data(), take, crc);
                 if (capture)
@@ -809,11 +768,11 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             std::uint32_t stored = 0;
             sf.file.read(reinterpret_cast<char*>(&stored), 4);
             if (sf.file.gcount() != 4)
-                bad_file(sf.path,
+                bad_file(kChunkedReader, sf.path,
                          std::string("truncated file (") + what + ")");
             if (crc != stored)
-                bad_file(sf.path, std::string(what) +
-                                      ": CRC32 mismatch (corrupt section)");
+                bad_file(kChunkedReader, sf.path,
+                         std::string(what) + ": CRC32 mismatch (corrupt section)");
             off += len + 4;
             return payload;
         };
@@ -825,7 +784,8 @@ ChunkedReader::ChunkedReader(std::filesystem::path dir) : dir_(std::move(dir)) {
             // names, so it is safe to hold in memory.
             std::vector<std::uint8_t> tab;
             check_section(kAnyLen, "string table", &tab);
-            names_ = parse_string_table(tab.data(), tab.size(), sf.path);
+            names_ = parse_string_table(kChunkedReader, tab.data(), tab.size(),
+                                        sf.path);
         }
     }
 }
@@ -853,6 +813,7 @@ void ChunkedReader::read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
     if (n == 0) return;
 
     std::vector<std::vector<std::uint8_t>> cols(schema.cols.size());
+    ColumnPtrs col{};
     for (std::size_t c = 0; c < schema.cols.size(); ++c) {
         const auto w = width(schema.cols[c]);
         cols[c].resize(std::size_t(n) * w);
@@ -861,87 +822,10 @@ void ChunkedReader::read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
         sf.file.read(reinterpret_cast<char*>(cols[c].data()),
                      std::streamsize(cols[c].size()));
         if (std::size_t(sf.file.gcount()) != cols[c].size())
-            bad_file(sf.path, "short read");
+            bad_file(kChunkedReader, sf.path, "short read");
+        col[c] = cols[c].data();
     }
-    auto u64 = [&](std::size_t c, std::size_t i) {
-        std::uint64_t v;
-        std::memcpy(&v, cols[c].data() + i * 8, 8);
-        return v;
-    };
-    auto u32 = [&](std::size_t c, std::size_t i) {
-        std::uint32_t v;
-        std::memcpy(&v, cols[c].data() + i * 4, 4);
-        return v;
-    };
-    auto f64 = [&](std::size_t c, std::size_t i) {
-        return std::bit_cast<double>(u64(c, i));
-    };
-    auto enum8 = [&](std::size_t c, std::size_t i, std::uint8_t max,
-                     const char* what) {
-        const auto v = cols[c][i];
-        if (v > max)
-            bad_file(sf.path, "record " + std::to_string(begin + i) +
-                                  ": invalid " + what + " value " +
-                                  std::to_string(v));
-        return v;
-    };
-
-    switch (StreamId(id)) {
-        case StreamId::kStorage:
-            for (std::size_t i = 0; i < n; ++i)
-                out.storage.push_back({f64(0, i), u64(1, i), u64(2, i),
-                                       u64(3, i),
-                                       IoType(enum8(4, i, 1, "io type")),
-                                       f64(5, i)});
-            break;
-        case StreamId::kCpu:
-            for (std::size_t i = 0; i < n; ++i)
-                out.cpu.push_back({f64(0, i), u64(1, i), f64(2, i), f64(3, i)});
-            break;
-        case StreamId::kMemory:
-            for (std::size_t i = 0; i < n; ++i)
-                out.memory.push_back({f64(0, i), u64(1, i), u32(2, i),
-                                      u64(3, i),
-                                      IoType(enum8(4, i, 1, "io type"))});
-            break;
-        case StreamId::kNetwork:
-            for (std::size_t i = 0; i < n; ++i)
-                out.network.push_back(
-                    {f64(0, i), u64(1, i), u64(2, i),
-                     NetworkRecord::Direction(enum8(3, i, 1, "direction")),
-                     f64(4, i)});
-            break;
-        case StreamId::kRequests:
-            for (std::size_t i = 0; i < n; ++i)
-                out.requests.push_back({u64(0, i),
-                                        IoType(enum8(1, i, 1, "io type")),
-                                        f64(2, i), f64(3, i), u64(4, i)});
-            break;
-        case StreamId::kFailures:
-            for (std::size_t i = 0; i < n; ++i)
-                out.failures.push_back(
-                    {f64(0, i), u64(1, i), u32(2, i),
-                     FailureRecord::Kind(enum8(3, i, 5, "failure kind")),
-                     f64(4, i)});
-            break;
-        case StreamId::kSpans:
-            for (std::size_t i = 0; i < n; ++i) {
-                Span sp;
-                sp.trace_id = u64(0, i);
-                sp.span_id = u64(1, i);
-                sp.parent_id = u64(2, i);
-                const auto ix = u32(3, i);
-                if (ix >= names_.size())
-                    bad_file(sf.path, "record " + std::to_string(begin + i) +
-                                          ": name index out of range");
-                sp.name = names_[ix];
-                sp.start = f64(4, i);
-                sp.end = f64(5, i);
-                out.spans.push_back(sp);
-            }
-            break;
-    }
-    metrics().rows.add(n);
+    decode_rows(kChunkedReader, sf.path, s, col, begin, std::size_t(n), names_, out);
 }
 
 }  // namespace kooza::trace

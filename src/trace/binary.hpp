@@ -132,7 +132,7 @@ void write_binary(const TraceSet& ts, const std::filesystem::path& dir);
 class ChunkedReader {
 public:
     /// Opens and fully validates all seven stream files. Same strictness
-    /// and error reporting as read_binary.
+    /// as read_binary; errors name "ChunkedReader" and the offending file.
     explicit ChunkedReader(std::filesystem::path dir);
     ChunkedReader(const ChunkedReader&) = delete;
     ChunkedReader& operator=(const ChunkedReader&) = delete;
@@ -144,8 +144,9 @@ public:
     [[nodiscard]] std::uint64_t total_rows() const noexcept;
 
     /// Decode rows [begin, begin + n) of `s`, appending them to the
-    /// matching stream of `out` (other streams untouched). Decoding and
-    /// enum range checks match read_binary exactly. Throws
+    /// matching stream of `out` (other streams untouched). read_binary
+    /// shares the decoder, so decoding and enum range checks match it
+    /// exactly. Throws
     /// std::out_of_range when the range exceeds rows(s).
     void read_rows(StreamId s, std::uint64_t begin, std::uint64_t n,
                    TraceSet& out);

@@ -23,12 +23,13 @@ using kooza::baselines::HmmModel;
 using kooza::sim::Rng;
 using kooza::trace::IoType;
 
-kooza::trace::TraceSet simulate(std::size_t count, std::uint64_t seed) {
+kooza::trace::TraceSet simulate(std::size_t count, std::uint64_t seed,
+                                double arrival_rate = 25.0) {
     kooza::gfs::GfsConfig cfg;
     kooza::gfs::Cluster cluster(cfg);
     Rng rng(seed);
     kooza::workloads::WebSearchProfile profile(
-        {.count = count, .arrival_rate = 25.0});
+        {.count = count, .arrival_rate = arrival_rate});
     profile.generate(rng).install(cluster);
     cluster.run();
     return cluster.traces();
@@ -133,6 +134,26 @@ TEST(HmmBaseline, ArrivalRateCaptured) {
     const double synth_rate =
         999.0 / (w.requests.back().time - w.requests.front().time);
     EXPECT_NEAR(synth_rate, orig_rate, orig_rate * 0.5);
+}
+
+// The accuracy bars on one fixed capture, tighter than the two cases
+// above: the size marginal within KS 0.15 and the arrival rate within 50%.
+TEST(HmmBaseline, AccuracyBarsOnWebSearchCapture) {
+    const auto ts = simulate(350, 29, 30.0);
+    const auto model = HmmModel::train(ts);
+    Rng rng(30);
+    const auto w = model.generate(1000, rng);
+    const auto orig = kooza::trace::extract_features(ts);
+    const auto orig_sizes = kooza::trace::column_storage_bytes(orig);
+    std::vector<double> synth_sizes;
+    for (const auto& r : w.requests) synth_sizes.push_back(double(r.storage_bytes));
+    EXPECT_LT(kooza::stats::ks_statistic_two_sample(orig_sizes, synth_sizes), 0.15);
+
+    const double orig_rate =
+        double(orig.size() - 1) / (orig.back().arrival - orig.front().arrival);
+    const double synth_rate = double(w.requests.size() - 1) /
+                              (w.requests.back().time - w.requests.front().time);
+    EXPECT_LT(kooza::stats::variation_pct(synth_rate, orig_rate), 50.0);
 }
 
 TEST(HmmBaseline, ChunkedMatchesMaterialized) {

@@ -6,7 +6,6 @@
 #include "hw/disk.hpp"
 #include "hw/memory.hpp"
 #include "hw/network.hpp"
-#include "hw/power.hpp"
 #include "trace/sink.hpp"
 #include "sim/engine.hpp"
 
@@ -241,40 +240,6 @@ TEST(SwitchPort, IncastCausesDropsAndCollapse) {
     EXPECT_EQ(drops_few, 0u);
     EXPECT_GT(drops_many, 0u);
     EXPECT_GT(worst_many, worst_few * 2.0);
-}
-
-TEST(Power, IdleFloorAndLoadProportionality) {
-    PowerModel pm({.idle_watts = 100.0, .cpu_dynamic_watts = 80.0,
-                   .disk_active_watts = 10.0, .memory_active_watts = 10.0});
-    EXPECT_DOUBLE_EQ(pm.power(0.0, 0.0), 100.0);
-    EXPECT_DOUBLE_EQ(pm.power(1.0, 1.0, 1.0), 200.0);
-    EXPECT_DOUBLE_EQ(pm.power(0.5, 0.0), 140.0);
-    // Utilizations clamp to [0,1].
-    EXPECT_DOUBLE_EQ(pm.power(5.0, -1.0), 180.0);
-}
-
-TEST(Power, EnergyIntegratesSamples) {
-    PowerModel pm({.idle_watts = 100.0, .cpu_dynamic_watts = 100.0,
-                   .disk_active_watts = 0.0, .memory_active_watts = 0.0});
-    const std::vector<UtilizationSample> samples{
-        {1.0, 0.0, 0.0, 0.0},   // 1 s at idle-known-at-sample (100 W)
-        {2.0, 1.0, 0.0, 0.0},   // 1 s at full CPU (200 W)
-    };
-    EXPECT_DOUBLE_EQ(pm.energy(samples), 100.0 + 200.0);
-    EXPECT_DOUBLE_EQ(pm.energy({}), 0.0);
-    const std::vector<UtilizationSample> bad{{2.0, 0, 0, 0}, {1.0, 0, 0, 0}};
-    EXPECT_THROW((void)pm.energy(bad), std::invalid_argument);
-}
-
-TEST(Power, ConstantWindowEnergy) {
-    PowerModel pm;
-    EXPECT_DOUBLE_EQ(pm.energy(10.0, 0.0, 0.0), 10.0 * pm.params().idle_watts);
-    EXPECT_GT(pm.energy(10.0, 0.8, 0.5), pm.energy(10.0, 0.1, 0.1));
-    EXPECT_THROW((void)pm.energy(-1.0, 0.0, 0.0), std::invalid_argument);
-}
-
-TEST(Power, Validation) {
-    EXPECT_THROW(PowerModel({.idle_watts = -1.0}), std::invalid_argument);
 }
 
 TEST(SwitchPort, ParamValidation) {

@@ -386,10 +386,12 @@ void poke(std::vector<std::uint8_t>& b, std::size_t off, T v) {
     std::memcpy(b.data() + off, &v, sizeof(T));
 }
 
-/// Both readers must reject `dir` with their typed error.
+/// Both readers must reject `dir` with their typed error, each naming
+/// itself.
 void expect_both_readers_reject(const fs::path& dir, const char* why) {
     for (int reader = 0; reader < 2; ++reader) {
-        SCOPED_TRACE(reader == 0 ? "read_binary" : "ChunkedReader");
+        const std::string name = reader == 0 ? "read_binary" : "ChunkedReader";
+        SCOPED_TRACE(name);
         try {
             if (reader == 0)
                 (void)read_binary(dir);
@@ -398,7 +400,7 @@ void expect_both_readers_reject(const fs::path& dir, const char* why) {
             ADD_FAILURE() << "accepted";
         } catch (const std::runtime_error& e) {
             const std::string msg = e.what();
-            EXPECT_NE(msg.find("read_binary: "), std::string::npos) << msg;
+            EXPECT_EQ(msg.rfind(name + ": ", 0), 0u) << msg;
             EXPECT_NE(msg.find(why), std::string::npos) << msg;
         }
     }
